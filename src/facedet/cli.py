@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 input/data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import threading
@@ -167,27 +168,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    out_dir = Path(args.out_dir)
+    inputs: dict[Path, str] = {}
+    for path in args.images:
+        out_path = out_dir / (Path(path).stem + ".det.txt")
+        if out_path in inputs:
+            raise ValueError(f"{inputs[out_path]} and {path} would both write {out_path}")
+        inputs[out_path] = path
+
     descriptor = default_descriptor()
     weights = load_weights(args.model, descriptor)
     cfg = _postprocess_config(args)
     mean = args.mean
     resize = args.resize
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    anchor_cache: dict[tuple[int, int], object] = {}
-    cache_lock = threading.Lock()
-
-    def anchors_for(w: int, h: int):
-        with cache_lock:
-            if (w, h) not in anchor_cache:
-                anchor_cache[(w, h)] = generate_anchors(w, h)
-            return anchor_cache[(w, h)]
+    anchors_for = functools.cache(generate_anchors)
 
     stage_times: dict[str, list[float]] = {"load": [], "forward": [], "postprocess": [], "write": []}
     times_lock = threading.Lock()
 
-    def process(path: str):
+    def process(path: str, out_path: Path):
         t0 = time.perf_counter()
         image = ppm.read_ppm(path)
         orig_h, orig_w = image.shape[2], image.shape[3]
@@ -198,20 +198,12 @@ def cmd_detect(args) -> int:
         t1 = time.perf_counter()
         heads = forward(weights, descriptor, x)
         t2 = time.perf_counter()
-        dets, stats = run_postprocess(
-            heads, anchors_for(used_w, used_h), used_w, used_h, cfg, return_stats=True
-        )
+        rows, stats = run_postprocess(heads, anchors_for(used_w, used_h), used_w, used_h, cfg)
         if resize:
             sx, sy = orig_w / used_w, orig_h / used_h
-            dets = [
-                Detection(
-                    (d.box[0] * sx, d.box[1] * sy, d.box[2] * sx, d.box[3] * sy), d.score
-                )
-                for d in dets
-            ]
+            rows[:, :4] *= [sx, sy, sx, sy]
         t3 = time.perf_counter()
-        out_path = out_dir / (Path(path).stem + ".det.txt")
-        out_path.write_text(formats.format_detections(path, orig_w, orig_h, dets))
+        out_path.write_text(formats.format_detections(path, orig_w, orig_h, rows))
         t4 = time.perf_counter()
         with times_lock:
             stage_times["load"].append((t1 - t0) * 1e3)
@@ -222,7 +214,7 @@ def cmd_detect(args) -> int:
 
     failures = []
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        futures = {pool.submit(process, p): p for p in args.images}
+        futures = {pool.submit(process, p, o): p for o, p in inputs.items()}
         for future, path in futures.items():
             try:
                 out_path, stats = future.result()

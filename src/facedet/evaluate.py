@@ -68,22 +68,24 @@ def match_detections(
     labeled: list[LabeledDetection] = []
     matched: dict[str, set[int]] = {}
     for image_id, dets in detections.items():
-        boxes = np.asarray(gt_map[image_id], dtype=np.float64).reshape(-1, 4)
-        used: set[int] = set()
-        flags = [False] * len(dets)
-        order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable ties
-        for i in order:
-            if len(boxes) == 0 or len(used) == len(boxes):
-                continue
-            free = np.array([g for g in range(len(boxes)) if g not in used])
-            ious = pairwise_jaccard([dets[i].box], boxes[free])[0]
-            best = int(np.argmax(ious))
-            if ious[best] >= iou_threshold:
-                used.add(int(free[best]))
+        scores = np.array([d.score for d in dets], dtype=np.float64)
+        ious = pairwise_jaccard([d.box for d in dets], gt_map[image_id])
+        spent = np.zeros(ious.shape[1], dtype=bool)
+        flags = np.zeros(len(dets), dtype=bool)
+        for i in np.argsort(-scores, kind="stable"):
+            if spent.all():
+                break
+            # spent ground truths drop below every IoU, so argmax picks the
+            # lowest-index free one among ties
+            free_ious = np.where(spent, -1.0, ious[i])
+            best = int(np.argmax(free_ious))
+            if free_ious[best] >= iou_threshold:
+                spent[best] = True
                 flags[i] = True
-        matched[image_id] = used
+        matched[image_id] = set(np.flatnonzero(spent).tolist())
         labeled.extend(
-            LabeledDetection(image_id, float(dets[i].score), flags[i]) for i in range(len(dets))
+            LabeledDetection(image_id, score, tp)
+            for score, tp in zip(scores.tolist(), flags.tolist())
         )
     return labeled, matched
 

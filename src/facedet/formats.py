@@ -100,9 +100,10 @@ def parse_detections(text: str) -> list[DetectionBlock]:
     return out
 
 
-def format_detections(path: str, width: int, height: int, detections) -> str:
-    lines = [f"image {path} w {width} h {height} count {len(detections)}"]
-    for d in detections:
-        x0, y0, x1, y1 = d.box
-        lines.append(f"{x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f} {d.score:.6f}")
+def format_detections(path: str, width: int, height: int, rows) -> str:
+    """One detection block from (k, 5) `x_min y_min x_max y_max score` rows."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    lines = [f"image {path} w {width} h {height} count {len(rows)}"]
+    for x0, y0, x1, y1, score in rows.tolist():
+        lines.append(f"{x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f} {score:.6f}")
     return "\n".join(lines) + "\n"

@@ -53,7 +53,7 @@ class WeightEntry(NamedTuple):
 @dataclass(frozen=True)
 class LayerSpec:
     name: str
-    kind: str  # conv | pool | crelu | inception | concat | head
+    kind: str  # conv | pool | crelu | inception | head
     inputs: tuple[str, ...]
     params: ConvParams | None
     in_channels: int
@@ -342,8 +342,6 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
                 for suffix, _, _, _ in _INCEPTION_CONVS
             }
             y = inception_forward(x, branch)
-        elif layer.kind == "concat":
-            y = ops.concat_channels([acts[name] for name in layer.inputs])
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
         acts[layer.name] = y

@@ -5,6 +5,7 @@ matches training; clipping is the very last step."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -13,6 +14,10 @@ import numpy as np
 from .anchors import AnchorSet
 from .network import HeadOutputs
 from .targets import EncodeVariances, decode_boxes, pairwise_jaccard
+
+# largest log size ratio decode accepts (torchvision's bbox_xform_clip): a box
+# grows at most 62.5x its anchor, so exp cannot overflow into inf boxes
+SIZE_OFFSET_CLIP = math.log(1000 / 16)
 
 
 class Detection(NamedTuple):
@@ -58,10 +63,12 @@ def decode_all(
     variances: EncodeVariances = EncodeVariances(),
     sample: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (corner box, face score) per anchor, unclipped, in anchor order."""
+    """One (corner box, face score) per anchor, unclipped, in anchor order.
+    Size offsets are clamped at SIZE_OFFSET_CLIP after variance scaling."""
     loc, conf = flatten_heads(heads, sample)
     if loc.shape[0] != len(anchor_set):
         raise ValueError(f"heads predict {loc.shape[0]} slots but {len(anchor_set)} anchors exist")
+    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / variances.size)
     boxes = decode_boxes(anchor_set.center_sizes(), loc, variances).astype(np.float32)
     shifted = conf - conf.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -69,27 +76,20 @@ def decode_all(
     return boxes, scores
 
 
-def nms(detections, overlap_threshold: float) -> list[Detection]:
+def nms(boxes, scores, overlap_threshold: float) -> np.ndarray:
     """Greedy suppression: repeatedly keep the best remaining score (ties go
-    to the earlier input index) and drop everything overlapping it above the
-    threshold.  Returns survivors sorted by descending score."""
-    dets = list(detections)
-    if not dets:
-        return []
-    boxes = np.array([d.box for d in dets], dtype=np.float64)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    alive = np.ones(len(dets), dtype=bool)
-    keep: list[int] = []
-    for idx in np.argsort(-scores, kind="stable"):
-        if not alive[idx]:
-            continue
-        keep.append(int(idx))
-        alive[idx] = False
-        rest = np.flatnonzero(alive)
-        if rest.size:
-            ious = pairwise_jaccard(boxes[idx : idx + 1], boxes[rest])[0]
-            alive[rest[ious > overlap_threshold]] = False
-    return [dets[i] for i in keep]
+    to the earlier index) and drop every box overlapping it above the
+    threshold.  Returns the kept indices in descending score order."""
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    ranked = np.asarray(boxes)[order]
+    overlaps = pairwise_jaccard(ranked, ranked) > overlap_threshold
+    suppressed = np.zeros(len(order), dtype=bool)
+    keep = []
+    for i in range(len(order)):
+        if not suppressed[i]:
+            keep.append(i)
+            suppressed |= overlaps[i]
+    return order[keep]
 
 
 def run_postprocess(
@@ -100,10 +100,11 @@ def run_postprocess(
     cfg: PostprocessConfig | None = None,
     variances: EncodeVariances = EncodeVariances(),
     sample: int = 0,
-    return_stats: bool = False,
-):
+) -> tuple[np.ndarray, dict[str, int]]:
     """decode -> drop degenerate boxes -> keep score > threshold -> top 400 ->
-    NMS -> top 200 -> clip.  Output is sorted by descending score."""
+    NMS -> top 200 -> clip.  Returns (rows, stats): rows is a (k, 5) float64
+    array of `x_min y_min x_max y_max score` sorted by descending score, and
+    stats counts the funnel."""
     cfg = cfg or PostprocessConfig()
     boxes, scores = decode_all(heads, anchor_set, variances, sample)
     decoded = boxes.shape[0]
@@ -116,29 +117,16 @@ def run_postprocess(
     boxes, scores = boxes[confident], scores[confident]
 
     order = np.argsort(-scores, kind="stable")[: cfg.pre_nms_top_k]
-    candidates = [
-        Detection(tuple(float(v) for v in boxes[i]), float(scores[i])) for i in order
-    ]
-    kept = nms(candidates, cfg.nms_overlap)[: cfg.post_nms_top_k]
+    boxes, scores = boxes[order], scores[order]
+    kept = nms(boxes, scores, cfg.nms_overlap)[: cfg.post_nms_top_k]
 
-    final = [
-        Detection(
-            (
-                min(max(d.box[0], 0.0), float(image_w)),
-                min(max(d.box[1], 0.0), float(image_h)),
-                min(max(d.box[2], 0.0), float(image_w)),
-                min(max(d.box[3], 0.0), float(image_h)),
-            ),
-            d.score,
-        )
-        for d in kept
-    ]
-    if return_stats:
-        stats = {
-            "decoded": decoded,
-            "degenerate_dropped": degenerate,
-            "above_threshold": int(confident.sum()),
-            "kept": len(final),
-        }
-        return final, stats
-    return final
+    rows = np.empty((len(kept), 5))
+    rows[:, :4] = np.clip(boxes[kept], 0.0, [image_w, image_h, image_w, image_h])
+    rows[:, 4] = scores[kept]
+    stats = {
+        "decoded": decoded,
+        "degenerate_dropped": degenerate,
+        "above_threshold": int(confident.sum()),
+        "kept": len(rows),
+    }
+    return rows, stats

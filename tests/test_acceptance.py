@@ -117,7 +117,9 @@ def test_05_nms_oracle_equivalence():
                 )
                 for i in range(n)
             ]
-            assert fd.nms(dets, 0.3) == _oracle_nms(dets, 0.3)
+            boxes = np.array([d.box for d in dets])
+            kept = fd.nms(boxes, np.array([d.score for d in dets]), 0.3)
+            assert [dets[i] for i in kept] == _oracle_nms(dets, 0.3)
 
 
 def test_06_matching_oracle_equivalence():

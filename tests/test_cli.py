@@ -120,6 +120,19 @@ class TestDetectCommand:
         assert code == 2
         assert (out_dir / "ok.det.txt").exists()  # good file still processed
 
+    def test_colliding_output_names_rejected(self, tmp_path, model_path, capsys):
+        images = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            images.append(str(tmp_path / sub / "x.ppm"))
+            write_test_ppm(images[-1])
+        out_dir = tmp_path / "out"
+        code = main(["detect", "--model", model_path, "--out-dir", str(out_dir), *images])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert images[0] in err and images[1] in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_resize_maps_back(self, tmp_path, model_path):
         img = tmp_path / "big.ppm"
         write_test_ppm(img, size=256)

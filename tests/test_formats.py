@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from facedet import formats, ppm
-from facedet.postprocess import Detection
 
 
 class TestAnnotations:
@@ -35,8 +34,8 @@ class TestAnnotations:
 
 class TestDetections:
     def test_round_trip(self):
-        dets = [Detection((1.5, 2.5, 30.0, 40.0), 0.875), Detection((0, 0, 5, 5), 0.25)]
-        text = formats.format_detections("x.ppm", 64, 48, dets)
+        rows = np.array([[1.5, 2.5, 30.0, 40.0, 0.875], [0, 0, 5, 5, 0.25]])
+        text = formats.format_detections("x.ppm", 64, 48, rows)
         assert text.splitlines()[0] == "image x.ppm w 64 h 48 count 2"
         blocks = formats.parse_detections(text)
         assert blocks[0].path == "x.ppm"
@@ -44,12 +43,12 @@ class TestDetections:
         assert blocks[0].detections[0].box == pytest.approx((1.5, 2.5, 30.0, 40.0))
 
     def test_six_decimal_places(self):
-        text = formats.format_detections("x", 10, 10, [Detection((1, 2, 3, 4), 1 / 3)])
+        text = formats.format_detections("x", 10, 10, np.array([[1, 2, 3, 4, 1 / 3]]))
         assert text.splitlines()[1] == "1.000000 2.000000 3.000000 4.000000 0.333333"
 
     def test_multiple_blocks(self):
-        text = formats.format_detections("a", 10, 10, []) + "\n" + formats.format_detections(
-            "b", 10, 10, [Detection((0, 0, 1, 1), 0.5)]
+        text = formats.format_detections("a", 10, 10, np.zeros((0, 5))) + "\n" + (
+            formats.format_detections("b", 10, 10, np.array([[0, 0, 1, 1, 0.5]]))
         )
         blocks = formats.parse_detections(text)
         assert [b.path for b in blocks] == ["a", "b"]

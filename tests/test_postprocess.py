@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,13 @@ def random_detections(rng, n, field=200.0):
     ]
 
 
+def nms_dets(dets, threshold):
+    """pp.nms on the arrays of a Detection list, mapped back to the list."""
+    boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return [dets[i] for i in pp.nms(boxes, scores, threshold)]
+
+
 def single_layer_heads(loc, conf):
     return HeadOutputs(("L0",), {"L0": loc}, {"L0": conf})
 
@@ -51,7 +60,7 @@ class TestNms:
         a = pp.Detection((0, 0, 20, 20), 0.9)
         b = pp.Detection((0, 10, 20, 30), 0.8)
         c = pp.Detection((100, 100, 120, 120), 0.7)
-        out = pp.nms([a, b, c], 0.3)
+        out = nms_dets([a, b, c], 0.3)
         assert out == [a, c]
 
     def test_disjoint_preserved_sorted(self):
@@ -59,35 +68,35 @@ class TestNms:
             pp.Detection((i * 50.0, 0.0, i * 50.0 + 10, 10.0), s)
             for i, s in enumerate([0.2, 0.9, 0.5])
         ]
-        out = pp.nms(dets, 0.3)
+        out = nms_dets(dets, 0.3)
         assert [d.score for d in out] == [0.9, 0.5, 0.2]
 
     def test_duplicates_collapse(self):
         d = pp.Detection((5, 5, 25, 25), 0.7)
-        out = pp.nms([d, d, d], 0.99)
+        out = nms_dets([d, d, d], 0.99)
         assert out == [d]
 
     def test_tie_breaks_to_earlier_index(self):
         a = pp.Detection((0, 0, 10, 10), 0.5)
         b = pp.Detection((0, 0, 10, 10), 0.5)
-        out = pp.nms([b, a], 0.3)
+        out = nms_dets([b, a], 0.3)
         assert out == [b]
 
     def test_empty(self):
-        assert pp.nms([], 0.3) == []
+        assert nms_dets([], 0.3) == []
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             dets = random_detections(rng, int(rng.integers(1, 120)))
-            got = pp.nms(dets, 0.3)
+            got = nms_dets(dets, 0.3)
             want = brute_force_nms(dets, 0.3)
             assert got == want
 
     def test_kept_pairwise_below_threshold(self):
         rng = np.random.default_rng(1)
         dets = random_detections(rng, 200)
-        kept = pp.nms(dets, 0.3)
+        kept = nms_dets(dets, 0.3)
         boxes = np.array([d.box for d in kept])
         from facedet.targets import pairwise_jaccard
 
@@ -181,22 +190,22 @@ class TestRunPostprocess:
 
     def test_all_below_threshold_empty(self):
         heads = grid_heads(np.full((32, 32), -10.0, np.float32))
-        out = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
-        assert out == []
+        rows, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        assert rows.shape == (0, 5)
 
     def test_top_k_caps_500_disjoint(self):
         logits = np.full((32, 32), -10.0, np.float32)
         logits.ravel()[:500] = 5.0  # 500 confident, pairwise-disjoint boxes
-        out = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024)
-        assert len(out) == 200
+        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024)
+        assert len(rows) == 200
 
     def test_output_never_exceeds_post_top_k(self):
         rng = np.random.default_rng(2)
         logits = rng.uniform(-3, 3, (32, 32)).astype(np.float32)
         for k in (1, 7, 50):
             cfg = pp.PostprocessConfig(post_nms_top_k=k)
-            out = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024, cfg)
-            assert len(out) <= k
+            rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024, cfg)
+            assert len(rows) <= k
 
     def test_raising_threshold_monotone(self):
         rng = np.random.default_rng(3)
@@ -205,7 +214,7 @@ class TestRunPostprocess:
         counts = []
         for thr in (0.05, 0.2, 0.5, 0.8):
             cfg = pp.PostprocessConfig(conf_threshold=thr)
-            counts.append(len(pp.run_postprocess(heads, self._anchors(), 1024, 1024, cfg)))
+            counts.append(len(pp.run_postprocess(heads, self._anchors(), 1024, 1024, cfg)[0]))
         assert counts == sorted(counts, reverse=True)
 
     def test_threshold_is_strict(self):
@@ -214,19 +223,19 @@ class TestRunPostprocess:
         logits = np.full((32, 32), -20.0, np.float32)
         logits[0, 0] = logit
         cfg = pp.PostprocessConfig(conf_threshold=0.5)
-        out = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024, cfg)
-        assert out == []
+        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024, cfg)
+        assert len(rows) == 0
 
     def test_scores_sorted_and_clipped(self):
         rng = np.random.default_rng(4)
         logits = rng.uniform(-2, 4, (32, 32)).astype(np.float32)
-        out = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024)
-        scores = [d.score for d in out]
+        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024)
+        scores = rows[:, 4].tolist()
         assert scores == sorted(scores, reverse=True)
-        for d in out:
-            assert 0 <= d.box[0] <= d.box[2] <= 1024
-            assert 0 <= d.box[1] <= d.box[3] <= 1024
-            assert 0 <= d.score <= 1
+        for x0, y0, x1, y1, score in rows:
+            assert 0 <= x0 <= x1 <= 1024
+            assert 0 <= y0 <= y1 <= 1024
+            assert 0 <= score <= 1
 
     def test_boxes_clipped_only_after_nms(self):
         # a border anchor decodes outside the image; the output must be clipped
@@ -234,8 +243,8 @@ class TestRunPostprocess:
         aset = generate_anchors(1024, 1024, cfg)
         logits = np.full((32, 32), -20.0, np.float32)
         logits[0, 0] = 6.0
-        out = pp.run_postprocess(grid_heads(logits), aset, 1024, 1024)
-        assert out[0].box[0] == 0.0 and out[0].box[1] == 0.0
+        rows, _ = pp.run_postprocess(grid_heads(logits), aset, 1024, 1024)
+        assert rows[0, 0] == 0.0 and rows[0, 1] == 0.0
 
     def test_degenerate_boxes_counted(self):
         loc = np.zeros((1, 4, 32, 32), np.float32)
@@ -243,22 +252,64 @@ class TestRunPostprocess:
         conf = np.zeros((1, 2, 32, 32), np.float32)
         conf[0, 1] = 3.0
         heads = single_layer_heads(loc, conf)
-        out, stats = pp.run_postprocess(
-            heads, self._anchors(), 1024, 1024, return_stats=True
-        )
-        assert out == []
+        rows, stats = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        assert len(rows) == 0
         assert stats["degenerate_dropped"] == 1024
+
+    def test_huge_size_offsets_clamped(self):
+        # two neighbouring anchors whose size offsets would overflow exp
+        loc = np.zeros((1, 4, 32, 32), np.float32)
+        loc[0, 2:, 0, :2] = 1e4
+        conf = np.zeros((1, 2, 32, 32), np.float32)
+        conf[0, 1] = -20.0
+        conf[0, 1, 0, :2] = 5.0
+        heads = single_layer_heads(loc, conf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            boxes, _ = pp.decode_all(heads, self._anchors())
+            rows, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        assert np.isfinite(boxes).all()
+        assert len(rows) == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         logits = rng.uniform(-3, 3, (32, 32)).astype(np.float32)
         heads = grid_heads(logits)
-        a = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
-        b = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
-        assert a == b
+        a, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        b, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        np.testing.assert_array_equal(a, b)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             pp.PostprocessConfig(conf_threshold=0.0)
         with pytest.raises(ValueError):
             pp.PostprocessConfig(pre_nms_top_k=0)
+
+
+class TestFunnel:
+    # the default 400 keeps 200 boxes before the cut matters; 100 makes the
+    # pre-NMS cut decide what survives
+    @pytest.mark.parametrize("pre_top_k", [400, 100])
+    def test_matches_brute_force_funnel(self, descriptor, random_weights, pre_top_k):
+        # threshold -> top k -> NMS -> top 200 -> clip on real head maps
+        x = np.random.default_rng(11).random((1, 3, 640, 640), dtype=np.float32)
+        heads = forward(random_weights, descriptor, x)
+        aset = generate_anchors(640, 640)
+        cfg = pp.PostprocessConfig(pre_nms_top_k=pre_top_k)
+        rows, stats = pp.run_postprocess(heads, aset, 640, 640, cfg)
+
+        boxes, scores = pp.decode_all(heads, aset)
+        candidates = [
+            pp.Detection(tuple(box), score)
+            for box, score in zip(boxes.tolist(), scores.tolist())
+            if box[2] > box[0] and box[3] > box[1] and score > cfg.conf_threshold
+        ]
+        assert len(candidates) == stats["above_threshold"] > cfg.pre_nms_top_k
+        candidates.sort(key=lambda d: -d.score)  # stable: anchor order breaks ties
+        kept = brute_force_nms(candidates[: cfg.pre_nms_top_k], cfg.nms_overlap)
+        want = [
+            [min(max(v, 0.0), 640.0) for v in d.box] + [d.score]
+            for d in kept[: cfg.post_nms_top_k]
+        ]
+        assert len(rows) == len(want) == stats["kept"]
+        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-4)
