@@ -23,6 +23,7 @@ from .augment import AugmentConfig, Sample, augment_pipeline, resize_bilinear
 from .evaluate import GroundTruthSet, evaluate_detections
 from .network import (
     WeightFormatError,
+    check_input_pixels,
     default_descriptor,
     forward,
     load_weights,
@@ -241,6 +242,7 @@ def cmd_detect(args) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 3:
         raise ValueError(f"--reps must be at least 3, got {args.reps}")
+    check_input_pixels(args.height, args.width)  # before the image is allocated
     descriptor = default_descriptor()
     if args.model:
         weights = load_weights(args.model, descriptor)

@@ -27,6 +27,9 @@ INPUT_NAME = "image"
 ANCHOR_SOURCES = ("Inception3", "Conv3_2", "Conv4_2")
 ANCHORS_PER_CELL = {"Inception3": 21, "Conv3_2": 1, "Conv4_2": 1}
 MIN_INPUT_SIZE = 128  # below this the stride-128 grid carries no useful signal
+# at 4096x4096, forward holds ~0.4 GB: the 201 MB input, Conv1's 101 MB output,
+# and Pool1's output and temporaries
+MAX_INPUT_PIXELS = 4096 * 4096
 
 WEIGHTS_MAGIC = b"FBXW"
 WEIGHTS_VERSION = 1
@@ -221,7 +224,7 @@ class ModelWeights:
 class WeightFormatError(Exception):
     """Weight file rejected; `code` names the failed gate (bad_magic,
     bad_version, descriptor_mismatch, truncated, shape_mismatch,
-    entry_mismatch, trailing_data)."""
+    entry_mismatch, non_finite, trailing_data)."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -306,12 +309,24 @@ class HeadOutputs:
         return self.loc[self.sources[0]].shape[0]
 
 
+def check_input_pixels(height: int, width: int) -> None:
+    """Reject an input of more than MAX_INPUT_PIXELS pixels, naming the cap."""
+    if height * width > MAX_INPUT_PIXELS:
+        raise ValueError(
+            f"input {width}x{height} has {height * width} pixels, above the cap "
+            f"of {MAX_INPUT_PIXELS} pixels"
+        )
+
+
 def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> HeadOutputs:
     """Run the graph on an NCHW image batch and collect the raw head maps.
 
     Pure and deterministic; the compute cost depends only on the image size,
     never on its content.
     """
+    shape = np.shape(image)  # read before as_tensor can copy an oversized image
+    if len(shape) == 4:
+        check_input_pixels(shape[2], shape[3])
     image = ops.as_tensor(image)
     validate_weights(weights, descriptor)
     first = descriptor.layers[0]
@@ -325,17 +340,29 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
     descriptor.spatial_sizes(image.shape[2], image.shape[3])  # names any degenerate layer
 
     acts: dict[str, np.ndarray] = {INPUT_NAME: image}
+    # a crelu layer is not run on its own: the pool reading it applies it after
+    # pooling, to fewer cells
+    crelu_inputs = {l.name: l.inputs[0] for l in descriptor.layers if l.kind == "crelu"}
     for layer in descriptor.layers:
-        x = acts[layer.inputs[0]]
+        if layer.kind == "crelu":
+            continue
+        fused = layer.inputs[0] in crelu_inputs
+        if fused and layer.kind != "pool":
+            raise ValueError(
+                f"layer {layer.name!r} reads crelu layer {layer.inputs[0]!r}; "
+                "only a pool may read a crelu layer"
+            )
+        x = acts[crelu_inputs[layer.inputs[0]] if fused else layer.inputs[0]]
         if layer.kind in ("conv", "head"):
             w, b = weights.entries[layer.name]
             y = ops.conv2d(x, w, b, stride=layer.params.stride, padding=layer.params.padding)
             if layer.relu:
                 y = ops.relu(y)
+        elif fused:
+            p = layer.params
+            y = ops.crelu_maxpool2d(x, p.kernel, p.stride, p.padding)
         elif layer.kind == "pool":
             y = ops.maxpool2d(x, layer.params.kernel, layer.params.stride, layer.params.padding)
-        elif layer.kind == "crelu":
-            y = ops.crelu(x)
         elif layer.kind == "inception":
             branch = {
                 suffix: weights.entries[f"{layer.name}.{suffix}"]
@@ -411,6 +438,8 @@ def load_weights(path, descriptor: NetworkDescriptor | None = None) -> ModelWeig
         count = dims[0] * dims[1] * dims[2] * dims[3]
         w = np.frombuffer(take(4 * count, f"{name} weights"), dtype="<f4")
         b = np.frombuffer(take(4 * dims[0], f"{name} bias"), dtype="<f4")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise WeightFormatError("non_finite", f"entry {name!r} holds NaN or infinite values")
         entries[name] = (
             w.astype(ops.DTYPE).reshape(dims),
             b.astype(ops.DTYPE),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import ops
+from . import network, ops
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -42,6 +42,7 @@ def read_ppm(path) -> np.ndarray:
     width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     if width < 1 or height < 1:
         raise ValueError(f"bad PPM dimensions {width}x{height}")
+    network.check_input_pixels(height, width)  # before the raster is converted
     if maxval != 255:
         raise ValueError(f"only 8-bit PPM supported, maxval {maxval}")
     pos += 1  # single whitespace after maxval

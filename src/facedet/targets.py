@@ -62,22 +62,24 @@ def pairwise_jaccard(boxes_a, boxes_b) -> np.ndarray:
     """IoU matrix (len(a), len(b)) of corner boxes; 0 wherever the union is empty."""
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ix = np.clip(
-        np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0]),
-        0,
-        None,
-    )
-    iy = np.clip(
-        np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1]),
-        0,
-        None,
-    )
-    inter = ix * iy
+    # three (len(a), len(b)) float buffers; every step writes into one of them
+    inter = np.minimum(a[:, None, 2], b[None, :, 2])
+    low = np.maximum(a[:, None, 0], b[None, :, 0])
+    np.clip(np.subtract(inter, low, out=inter), 0, None, out=inter)
+    iy = np.minimum(a[:, None, 3], b[None, :, 3])
+    np.maximum(a[:, None, 1], b[None, :, 1], out=low)
+    np.clip(np.subtract(iy, low, out=iy), 0, None, out=iy)
+    inter *= iy
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = np.add(area_a[:, None], area_b[None, :], out=iy)
+    union -= inter
+    empty = ~(union > 0)
+    # a plain divide then a masked store: numpy's divide(where=) is ~5x slower
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+        iou = np.divide(inter, union, out=inter)
+    iou[empty] = 0.0
+    return iou
 
 
 def jaccard(a, b) -> float:

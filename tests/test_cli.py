@@ -1,12 +1,13 @@
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facedet import formats, ppm
+from facedet import formats, network, ppm
 from facedet.cli import main
-from facedet.network import save_weights
+from facedet.network import ModelWeights, save_weights
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +39,34 @@ class TestExitCodes:
         write_test_ppm(img)
         assert main(["detect", "--model", str(bad), str(img)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_model_is_2(self, tmp_path, random_weights, capsys):
+        entries = dict(random_weights.entries)
+        w, b = entries["Conv1"]
+        b = b.copy()
+        b[0] = np.nan
+        entries["Conv1"] = (w, b)
+        model = tmp_path / "nan.fbxw"
+        save_weights(ModelWeights(entries, random_weights.descriptor_fingerprint), model)
+        img = tmp_path / "img.ppm"
+        write_test_ppm(img)
+        assert main(["detect", "--model", str(model), "--out-dir", str(tmp_path), str(img)]) == 2
+        assert "Conv1" in capsys.readouterr().err
+
+    def test_oversized_ppm_header_is_2(self, tmp_path, model_path, capsys):
+        # the header alone declares too many pixels; with no raster behind it,
+        # only the cap check can name the cap, and nothing of that size is read
+        cap = network.MAX_INPUT_PIXELS
+        side = math.isqrt(cap) + 1
+        img = tmp_path / "huge.ppm"
+        img.write_bytes(f"P6\n{side} {side}\n255\n".encode("ascii"))
+        with pytest.raises(ValueError, match=f"cap of {cap} pixels"):
+            ppm.read_ppm(img)
+        for resize in ([], ["--resize", "640x480"]):
+            args = ["detect", "--model", model_path, "--out-dir", str(tmp_path), *resize, str(img)]
+            assert main(args) == 2
+            assert f"cap of {cap} pixels" in capsys.readouterr().err
+        assert not (tmp_path / "huge.det.txt").exists()
 
     def test_malformed_flag_values_are_usage_errors(self, capsys):
         assert main(["detect", "--model", "m", "--resize", "bogus", "img.ppm"]) == 1
@@ -260,6 +289,13 @@ class TestBenchCommand:
 
     def test_too_few_reps_rejected(self):
         assert main(["bench", "--reps", "2"]) == 2
+
+    def test_oversized_input_rejected(self, capsys):
+        # 1e14 pixels: more than any address space, so an allocation made
+        # before the cap check fails at once instead of using memory
+        side = "10000000"
+        assert main(["bench", "--width", side, "--height", side, "--reps", "3"]) == 2
+        assert f"cap of {network.MAX_INPUT_PIXELS} pixels" in capsys.readouterr().err
 
     def test_multithreaded_not_slower(self, capsys):
         # wall time with 2 workers should not exceed the single-thread wall

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -169,6 +170,28 @@ class TestForward:
         with pytest.raises(ValueError, match="channel"):
             forward(random_weights, descriptor, np.zeros((1, 1, 256, 256), np.float32))
 
+    def test_oversized_input_rejected_before_allocation(self, descriptor, random_weights):
+        cap = network.MAX_INPUT_PIXELS
+        side = math.isqrt(cap) + 1
+        for h, w in ((side, side), (128, cap // 128 + 1)):
+            assert h * w > cap
+            # zero-stride views: no image memory exists behind them
+            huge = np.broadcast_to(np.float32(0), (1, 3, h, w))
+            with pytest.raises(ValueError, match=f"cap of {cap} pixels"):
+                forward(random_weights, descriptor, huge)
+
+    def test_non_pool_reading_crelu_rejected(self, descriptor):
+        # forward runs C.ReLU only inside the pool after it
+        layers = tuple(
+            network.LayerSpec(l.name, "conv", l.inputs, l.params, l.in_channels, l.out_channels)
+            if l.name == "Pool1"
+            else l
+            for l in descriptor.layers
+        )
+        bent = network.NetworkDescriptor(layers, descriptor.anchor_sources)
+        with pytest.raises(ValueError, match="only a pool may read a crelu layer"):
+            forward(xavier_init(bent, 0), bent, np.zeros((1, 3, 128, 128), np.float32))
+
     def test_shared_weights_across_threads(self, descriptor, random_weights):
         x = np.random.default_rng(4).random((1, 3, 160, 160), dtype=np.float32)
         want = forward(random_weights, descriptor, x)
@@ -250,6 +273,18 @@ class TestWeightSerialization:
     def test_trailing_data(self, tmp_path, descriptor, random_weights):
         blob = self._saved(tmp_path, random_weights)
         self._expect_code(tmp_path, blob + b"junk", "trailing_data", descriptor)
+
+    def test_non_finite_rejected(self, tmp_path, descriptor, random_weights):
+        entries = dict(random_weights.entries)
+        w, b = entries["Conv1"]
+        b = b.copy()
+        b[5] = np.nan
+        entries["Conv1"] = (w, b)
+        path = tmp_path / "nan.fbxw"
+        save_weights(network.ModelWeights(entries, random_weights.descriptor_fingerprint), path)
+        with pytest.raises(WeightFormatError, match="Conv1") as err:
+            load_weights(path, descriptor)
+        assert err.value.code == "non_finite"
 
     def test_forward_rejects_foreign_weights(self, descriptor, random_weights):
         foreign = network.ModelWeights(random_weights.entries, 12345)

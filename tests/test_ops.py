@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from facedet import ops
 
+from naive_ops import conv2d_naive, maxpool2d_naive
+
 
 def t4(data):
     return ops.as_tensor(np.asarray(data, dtype=np.float32).reshape(1, 1, *np.shape(data)))
@@ -56,9 +58,35 @@ class TestConv2d:
             wt = rng.standard_normal((co, ci, k, k)).astype(np.float32)
             b = rng.standard_normal(co).astype(np.float32)
             fast = ops.conv2d(x, wt, b, stride=s, padding=p)
-            slow = ops.conv2d_naive(x, wt, b, stride=s, padding=p)
+            slow = conv2d_naive(x, wt, b, stride=s, padding=p)
             assert fast.shape == slow.shape
             np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "n, ci, co, h, w, k, s, p",
+        [
+            (2, 3, 5, 19, 13, 7, 4, 3),  # Conv1-like: 7x7/s4, pad 3
+            (2, 4, 3, 11, 9, 3, 1, 0),
+            (2, 4, 3, 13, 8, 3, 2, 3),
+            (2, 6, 4, 21, 7, 5, 2, 0),
+            (2, 5, 4, 7, 6, 1, 1, 0),  # 1x1 stride 1, unpadded: no im2col
+            (2, 5, 4, 9, 6, 1, 2, 0),  # 1x1 strided: banded
+            (1, 3, 2, 5, 5, 1, 1, 3),  # 1x1 padded: banded
+        ],
+    )
+    def test_bands_match_naive(self, monkeypatch, n, ci, co, h, w, k, s, p):
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        # two output rows per band: >= 3 bands, the last one partial
+        assert oh >= 5 and oh % 2 == 1
+        monkeypatch.setattr(ops, "IM2COL_BAND_BYTES", 2 * ci * k * k * ow * 4)
+        rng = np.random.default_rng(n * 1000 + h * 10 + k)
+        x = rng.standard_normal((n, ci, h, w)).astype(np.float32)
+        wt = rng.standard_normal((co, ci, k, k)).astype(np.float32)
+        b = rng.standard_normal(co).astype(np.float32)
+        fast = ops.conv2d(x, wt, b, stride=s, padding=p)
+        slow = conv2d_naive(x, wt, b, stride=s, padding=p)
+        assert fast.shape == slow.shape == (n, co, oh, ow)
+        np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-4)
 
 
 class TestMaxPool:
@@ -96,8 +124,40 @@ class TestMaxPool:
                 continue
             x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
             np.testing.assert_array_equal(
-                ops.maxpool2d(x, k, s, p), ops.maxpool2d_naive(x, k, s, p)
+                ops.maxpool2d(x, k, s, p), maxpool2d_naive(x, k, s, p)
             )
+
+
+class TestCreluMaxPool:
+    """The fused pool must equal maxpool2d(crelu(x)) exactly."""
+
+    @staticmethod
+    def unfused(x, k, s, p):
+        return ops.maxpool2d(ops.crelu(x), k, s, p)
+
+    @pytest.mark.parametrize("k, s, p", [(3, 2, 1), (3, 1, 1), (2, 2, 0), (3, 3, 2), (1, 1, 0)])
+    def test_matches_unfused_on_odd_sizes(self, k, s, p):
+        # odd sizes make the last window overhang the padding
+        rng = np.random.default_rng(k * 100 + s * 10 + p)
+        for h, w in ((1, 1), (3, 5), (7, 7), (9, 4), (13, 11)):
+            if h + 2 * p < k or w + 2 * p < k:
+                continue
+            x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+            np.testing.assert_array_equal(ops.crelu_maxpool2d(x, k, s, p), self.unfused(x, k, s, p))
+
+    def test_zeros(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((2, 4, 9, 7)).astype(np.float32)
+        x[rng.random(x.shape) < 0.6] = 0.0
+        x[:, 1] = 0.0
+        x[:, 2, ::2] = -0.0
+        out = ops.crelu_maxpool2d(x, 3, 2, 1)
+        np.testing.assert_array_equal(out, self.unfused(x, 3, 2, 1))
+        assert not out[:, [1, 5]].any()
+
+    def test_all_pad_window_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            ops.crelu_maxpool2d(np.zeros((1, 1, 4, 4), np.float32), 2, stride=1, padding=2)
 
 
 class TestActivations:
@@ -224,7 +284,7 @@ def test_conv_naive_oracle_property(seed):
     wt = rng.standard_normal((4, 8, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
     fast = ops.conv2d(x, wt, b, stride=2, padding=1)
-    slow = ops.conv2d_naive(x, wt, b, stride=2, padding=1)
+    slow = conv2d_naive(x, wt, b, stride=2, padding=1)
     np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-4)
 
 
