@@ -38,7 +38,7 @@ from .network import (
     save_weights,
     xavier_init,
 )
-from .postprocess import Detection, PostprocessConfig, decode_all, nms, run_postprocess
+from .postprocess import PostprocessConfig, decode_all, nms, run_postprocess
 from .targets import (
     EncodeVariances,
     TrainingTargets,
@@ -59,7 +59,6 @@ __all__ = [
     "AnchorLayerConfig",
     "AnchorSet",
     "AugmentConfig",
-    "Detection",
     "EncodeVariances",
     "EvalResult",
     "GroundTruthSet",

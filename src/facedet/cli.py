@@ -30,7 +30,7 @@ from .network import (
     save_weights,
     xavier_init,
 )
-from .postprocess import Detection, PostprocessConfig, run_postprocess
+from .postprocess import PostprocessConfig, run_postprocess
 from .targets import match_anchors
 
 EXIT_OK = 0
@@ -148,10 +148,11 @@ def cmd_augment(args) -> int:
 def cmd_eval(args) -> int:
     gt_blocks = formats.parse_annotations(Path(args.gt).read_text())
     gt = GroundTruthSet.from_annotations(gt_blocks)
-    detections: dict[str, list[Detection]] = {}
+    blocks_by_image: dict[str, list[np.ndarray]] = {}
     for path in args.dets:
         for block in formats.parse_detections(Path(path).read_text()):
-            detections.setdefault(block.path, []).extend(block.detections)
+            blocks_by_image.setdefault(block.path, []).append(block.rows)
+    detections = {image: np.concatenate(rows) for image, rows in blocks_by_image.items()}
     budgets = [float(v) for v in args.fp_budgets.split(",") if v]
     result = evaluate_detections(detections, gt, args.iou, budgets)
     lines = [f"pr\t{r:.6f}\t{p:.6f}" for r, p in result.pr_points]

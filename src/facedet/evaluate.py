@@ -5,7 +5,6 @@ a false-positive budget)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class GroundTruthSet:
         return cls({item.path: item.boxes for item in annotated})
 
 
-class LabeledDetection(NamedTuple):
-    image_id: str
-    score: float
-    is_tp: bool
-
-
 @dataclass(frozen=True)
 class EvalResult:
     pr_points: list[tuple[float, float]]
@@ -51,28 +44,32 @@ class EvalResult:
 
 
 def match_detections(
-    detections, gt, iou_threshold: float = EVAL_IOU_THRESHOLD
-) -> tuple[list[LabeledDetection], dict[str, set[int]]]:
+    rows_by_image, gt: GroundTruthSet, iou_threshold: float = EVAL_IOU_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray, dict[str, set[int]]]:
     """Label detections TP/FP, per image in descending score order.
 
     A detection is a TP when its best-IoU still-unmatched ground truth reaches
     the threshold (inclusive); that ground truth is then spent, so duplicates
-    become FP.  `detections` maps image id -> sequence of objects with .box
-    and .score.  Unknown image ids fail loudly.
+    become FP.  `rows_by_image` maps image id -> (k, 5) `x_min y_min x_max
+    y_max score` rows.  Returns (scores, is_tp, matched): scores and flags over
+    all rows, images in the given order and rows in their order within each,
+    and the spent ground-truth indices per image.  Unknown image ids fail
+    loudly.
     """
-    gt_map = gt.boxes_by_image if isinstance(gt, GroundTruthSet) else dict(gt)
-    unknown = sorted(i for i in detections if i not in gt_map)
+    gt_map = gt.boxes_by_image
+    unknown = sorted(i for i in rows_by_image if i not in gt_map)
     if unknown:
         raise ValueError(f"detections reference unknown image ids: {unknown}")
 
-    labeled: list[LabeledDetection] = []
+    # seeded with empty arrays so that no images still concatenate
+    scores, flags = [np.zeros(0)], [np.zeros(0, dtype=bool)]
     matched: dict[str, set[int]] = {}
-    for image_id, dets in detections.items():
-        scores = np.array([d.score for d in dets], dtype=np.float64)
-        ious = pairwise_jaccard([d.box for d in dets], gt_map[image_id])
+    for image_id, rows in rows_by_image.items():
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+        ious = pairwise_jaccard(rows[:, :4], gt_map[image_id])
         spent = np.zeros(ious.shape[1], dtype=bool)
-        flags = np.zeros(len(dets), dtype=bool)
-        for i in np.argsort(-scores, kind="stable"):
+        is_tp = np.zeros(len(rows), dtype=bool)
+        for i in np.argsort(-rows[:, 4], kind="stable"):
             if spent.all():
                 break
             # spent ground truths drop below every IoU, so argmax picks the
@@ -81,31 +78,18 @@ def match_detections(
             best = int(np.argmax(free_ious))
             if free_ious[best] >= iou_threshold:
                 spent[best] = True
-                flags[i] = True
+                is_tp[i] = True
         matched[image_id] = set(np.flatnonzero(spent).tolist())
-        labeled.extend(
-            LabeledDetection(image_id, score, tp)
-            for score, tp in zip(scores.tolist(), flags.tolist())
-        )
-    return labeled, matched
+        scores.append(rows[:, 4])
+        flags.append(is_tp)
+    return np.concatenate(scores), np.concatenate(flags), matched
 
 
-def _cumulative(labeled) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([d.score for d in labeled], dtype=np.float64)
-    tps = np.array([d.is_tp for d in labeled], dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    tps = tps[order]
-    return np.cumsum(tps), np.cumsum(~tps)
-
-
-def precision_recall(labeled, total_faces: int) -> tuple[list[tuple[float, float]], float]:
-    """PR points swept over descending score, and all-points-interpolated AP
-    (area under the precision envelope)."""
+def precision_recall(tp, fp, total_faces: int) -> tuple[list[tuple[float, float]], float]:
+    """PR points from cumulative TP and FP counts over descending score, and
+    all-points-interpolated AP (area under the precision envelope)."""
     if total_faces <= 0:
         raise ValueError(f"total_faces must be positive, got {total_faces}")
-    if not labeled:
-        return [], 0.0
-    tp, fp = _cumulative(labeled)
     recall = tp / total_faces
     precision = tp / (tp + fp)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
@@ -114,21 +98,17 @@ def precision_recall(labeled, total_faces: int) -> tuple[list[tuple[float, float
     return list(zip(recall.tolist(), precision.tolist())), ap
 
 
-def roc_curve(labeled, total_faces: int) -> list[tuple[int, float]]:
+def roc_curve(tp, fp, total_faces: int) -> list[tuple[int, float]]:
     """(cumulative false positives, true positive rate) per rank."""
-    if not labeled:
-        return []
-    tp, fp = _cumulative(labeled)
-    return list(zip(fp.astype(int).tolist(), (tp / total_faces).tolist()))
+    return list(zip(fp.tolist(), (tp / total_faces).tolist()))
 
 
-def tpr_at_fp(labeled, total_faces: int, fp_budgets) -> dict[float, float]:
+def tpr_at_fp(tp, fp, total_faces: int, fp_budgets) -> dict[float, float]:
     """TPR just before cumulative false positives first exceed each budget;
     the final TPR when they never do."""
     if total_faces <= 0:
         raise ValueError(f"total_faces must be positive, got {total_faces}")
     result: dict[float, float] = {}
-    tp, fp = _cumulative(labeled) if labeled else (np.zeros(0), np.zeros(0))
     for budget in fp_budgets:
         if budget <= 0:
             raise ValueError(f"fp budget must be positive, got {budget}")
@@ -139,20 +119,22 @@ def tpr_at_fp(labeled, total_faces: int, fp_budgets) -> dict[float, float]:
 
 
 def evaluate_detections(
-    detections,
-    gt,
+    rows_by_image,
+    gt: GroundTruthSet,
     iou_threshold: float = EVAL_IOU_THRESHOLD,
     fp_budgets=(1000,),
 ) -> EvalResult:
-    """Full scoring pass: match, PR/AP, ROC, TPR at the requested budgets."""
-    total = gt.total_faces if isinstance(gt, GroundTruthSet) else sum(
-        len(v) for v in gt.values()
-    )
-    labeled, _ = match_detections(detections, gt, iou_threshold)
-    pr, ap = precision_recall(labeled, total) if total else ([], 0.0)
+    """Full scoring pass: match, one descending-score sweep of cumulative TP
+    and FP counts (ties keep their matching order), then PR/AP, ROC and TPR
+    at the requested budgets."""
+    scores, is_tp, _ = match_detections(rows_by_image, gt, iou_threshold)
+    is_tp = is_tp[np.argsort(-scores, kind="stable")]
+    tp, fp = np.cumsum(is_tp), np.cumsum(~is_tp)
+    total = gt.total_faces
+    pr, ap = precision_recall(tp, fp, total) if total else ([], 0.0)
     return EvalResult(
         pr_points=pr,
         average_precision=ap,
-        roc_points=roc_curve(labeled, total if total else 1),
-        tpr_at_fp=tpr_at_fp(labeled, total if total else 1, fp_budgets),
+        roc_points=roc_curve(tp, fp, total if total else 1),
+        tpr_at_fp=tpr_at_fp(tp, fp, total if total else 1, fp_budgets),
     )

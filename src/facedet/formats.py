@@ -4,8 +4,13 @@ Annotations: blank-line separated blocks of
     image <path> <w> <h>
     face <x_min> <y_min> <x_max> <y_max>
 Detections: per image a header `image <path> w <w> h <h> count <n>` followed
-by `x_min y_min x_max y_max score` lines with six decimals.
-Paths are single whitespace-free tokens.
+by `x_min y_min x_max y_max score` lines with six decimals.  On both sides a
+block's detections are one (k, 5) float64 array of such rows.
+Paths are single whitespace-free tokens.  The parsers raise ValueError on
+malformed text.  The error quotes the offending line for a non-finite value,
+an annotation image size outside 1..MAX_INPUT_PIXELS, and a face that no
+detection could ever match (empty, inverted or wholly outside its image); a
+face partly outside its image is kept.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .postprocess import Detection
+from .network import MAX_INPUT_PIXELS
 
 
 class AnnotatedImage(NamedTuple):
@@ -28,7 +33,7 @@ class DetectionBlock(NamedTuple):
     path: str
     width: int
     height: int
-    detections: list[Detection]
+    rows: np.ndarray
 
 
 def _blocks(text: str) -> list[list[str]]:
@@ -46,27 +51,42 @@ def _blocks(text: str) -> list[list[str]]:
     return blocks
 
 
+def _reject(bad: np.ndarray, lines: list[str], what: str) -> None:
+    """Raise for the first line whose row is flagged in `bad`."""
+    if bad.any():
+        raise ValueError(f"{what}: {lines[int(np.argmax(bad))]!r}")
+
+
 def parse_annotations(text: str) -> list[AnnotatedImage]:
-    items = []
+    heads, faces, values, sizes = [], [], [], []
     for block in _blocks(text):
         head = block[0].split()
         if len(head) != 4 or head[0] != "image":
             raise ValueError(f"bad annotation header: {block[0]!r}")
-        boxes = []
+        width, height = int(head[2]), int(head[3])
+        if width < 1 or height < 1 or width * height > MAX_INPUT_PIXELS:
+            raise ValueError(
+                f"annotation image size outside 1..{MAX_INPUT_PIXELS} pixels: {block[0]!r}"
+            )
         for line in block[1:]:
             parts = line.split()
             if len(parts) != 5 or parts[0] != "face":
                 raise ValueError(f"bad face line: {line!r}")
-            boxes.append([float(v) for v in parts[1:]])
-        items.append(
-            AnnotatedImage(
-                head[1],
-                int(head[2]),
-                int(head[3]),
-                np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
-            )
-        )
-    return items
+            values.append([float(v) for v in parts[1:]])
+        heads.append((head[1], width, height, len(faces), len(faces) + len(block) - 1))
+        faces += block[1:]
+        sizes += [(width, height)] * (len(block) - 1)
+    # all faces of the file are checked at once, in one array
+    boxes = np.asarray(values, dtype=np.float64).reshape(-1, 4)
+    _reject(~np.isfinite(boxes).all(axis=1), faces, "non-finite face")
+    x0, y0, x1, y1 = boxes.T
+    _reject((x1 <= x0) | (y1 <= y0), faces, "empty or inverted face")
+    width, height = np.asarray(sizes, dtype=np.float64).reshape(-1, 2).T
+    outside = np.flatnonzero((x1 <= 0) | (y1 <= 0) | (x0 >= width) | (y0 >= height))
+    if outside.size:
+        w, h = sizes[outside[0]]
+        raise ValueError(f"face outside its {w}x{h} image: {faces[outside[0]]!r}")
+    return [AnnotatedImage(path, w, h, boxes[a:b]) for path, w, h, a, b in heads]
 
 
 def format_annotations(items) -> str:
@@ -90,13 +110,15 @@ def parse_detections(text: str) -> list[DetectionBlock]:
             raise ValueError(
                 f"detection block for {head[1]!r} declares {count} rows, has {len(block) - 1}"
             )
-        dets = []
+        rows = []
         for line in block[1:]:
             vals = [float(v) for v in line.split()]
             if len(vals) != 5:
                 raise ValueError(f"bad detection line: {line!r}")
-            dets.append(Detection((vals[0], vals[1], vals[2], vals[3]), vals[4]))
-        out.append(DetectionBlock(head[1], int(head[3]), int(head[5]), dets))
+            rows.append(vals)
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+        _reject(~np.isfinite(rows).all(axis=1), block[1:], "non-finite detection line")
+        out.append(DetectionBlock(head[1], int(head[3]), int(head[5]), rows))
     return out
 
 

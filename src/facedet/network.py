@@ -305,9 +305,6 @@ class HeadOutputs:
             total += h * w * (c4 // 4)
         return total
 
-    def batch_size(self) -> int:
-        return self.loc[self.sources[0]].shape[0]
-
 
 def check_input_pixels(height: int, width: int) -> None:
     """Reject an input of more than MAX_INPUT_PIXELS pixels, naming the cap."""

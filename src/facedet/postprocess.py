@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,11 +17,6 @@ from .targets import EncodeVariances, decode_boxes, pairwise_jaccard
 # largest log size ratio decode accepts (torchvision's bbox_xform_clip): a box
 # grows at most 62.5x its anchor, so exp cannot overflow into inf boxes
 SIZE_OFFSET_CLIP = math.log(1000 / 16)
-
-
-class Detection(NamedTuple):
-    box: tuple[float, float, float, float]
-    score: float
 
 
 @dataclass(frozen=True)

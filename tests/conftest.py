@@ -1,9 +1,18 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from facedet.network import ModelWeights, default_descriptor, xavier_init
 
 DEFAULT_MEAN = np.array([0.4078, 0.4588, 0.4824], dtype=np.float32).reshape(1, 3, 1, 1)
+
+
+class Det(NamedTuple):
+    """One scored box, the per-item form the list-walking oracles work on."""
+
+    box: tuple[float, float, float, float]
+    score: float
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,9 @@ from facedet import ops
 from facedet.cli import main
 from facedet.formats import parse_detections
 from facedet.network import save_weights
-from facedet.postprocess import Detection
 from facedet.targets import jaccard, softmax_cross_entropy
 
-from conftest import DEFAULT_MEAN, build_smoke_weights, tent_blob_image
+from conftest import DEFAULT_MEAN, Det, build_smoke_weights, tent_blob_image
 from naive_ops import conv2d_naive
 from test_targets import brute_force_match, dense_instance, random_instance
 
@@ -112,7 +111,7 @@ def test_05_nms_oracle_equivalence():
             h = rng.uniform(5, 120, n)
             scores = np.round(rng.uniform(0, 1, n), 3)  # rounded to force ties
             dets = [
-                Detection(
+                Det(
                     (float(x0[i]), float(y0[i]), float(x0[i] + w[i]), float(y0[i] + h[i])),
                     float(scores[i]),
                 )
@@ -308,10 +307,10 @@ def test_12_detect_smoke(tmp_path, descriptor):
         )
         assert code == 0
         block = parse_detections((out_dir / "face.det.txt").read_text())[0]
-        assert block.detections, "no detections produced"
-        top = block.detections[0]
-        iou = jaccard(top.box, gt_box)
-        print(f"  top detection {tuple(round(v, 1) for v in top.box)} score {top.score:.3f} IoU {iou:.3f}")
+        assert len(block.rows), "no detections produced"
+        top = block.rows[0]
+        iou = jaccard(top[:4], gt_box)
+        print(f"  top detection {tuple(round(v, 1) for v in top[:4])} score {top[4]:.3f} IoU {iou:.3f}")
         assert iou >= 0.5
 
 
@@ -332,5 +331,5 @@ def test_12b_detect_smoke_external_weights(tmp_path):
         )
         assert code == 0
         block = parse_detections(next(out_dir.glob("*.det.txt")).read_text())[0]
-        assert block.detections
-        assert jaccard(block.detections[0].box, ann.boxes[0]) >= 0.5
+        assert len(block.rows)
+        assert jaccard(block.rows[0, :4], ann.boxes[0]) >= 0.5

@@ -68,6 +68,21 @@ class TestExitCodes:
             assert f"cap of {cap} pixels" in capsys.readouterr().err
         assert not (tmp_path / "huge.det.txt").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "targets", "augment"])
+    def test_unmatchable_face_is_2(self, tmp_path, command, capsys):
+        img = tmp_path / "in.ppm"
+        write_test_ppm(img)
+        ann = tmp_path / "ann.txt"
+        ann.write_text("image in.ppm 128 128\nface 10 10 40 40\nface 60 60 50 90\n")
+        argv = {
+            "eval": ["eval", "--gt", str(ann), "--dets", str(DATA / "eval_dets.txt")],
+            "targets": ["targets", "--ann", str(ann)],
+            "augment": ["augment", "--image", str(img), "--ann", str(ann),
+                        "--out-image", str(tmp_path / "out.ppm")],
+        }[command]
+        assert main(argv) == 2
+        assert "empty or inverted face: 'face 60 60 50 90'" in capsys.readouterr().err
+
     def test_malformed_flag_values_are_usage_errors(self, capsys):
         assert main(["detect", "--model", "m", "--resize", "bogus", "img.ppm"]) == 1
         assert main(["detect", "--model", "m", "--mean", "1,2", "img.ppm"]) == 1
@@ -117,10 +132,10 @@ class TestDetectCommand:
         assert "timing forward mean_ms" in captured
         blocks = formats.parse_detections((out_dir / "img.det.txt").read_text())
         assert blocks[0].width == 128 and blocks[0].height == 128
-        assert len(blocks[0].detections) <= 200
-        for d in blocks[0].detections:
-            assert 0 <= d.box[0] <= d.box[2] <= 128
-            assert 0 <= d.score <= 1
+        assert len(blocks[0].rows) <= 200
+        for x0, _, x1, _, score in blocks[0].rows:
+            assert 0 <= x0 <= x1 <= 128
+            assert 0 <= score <= 1
 
     def test_batch_and_idempotence(self, tmp_path, model_path):
         images = []
@@ -173,8 +188,8 @@ class TestDetectCommand:
         assert code == 0
         blocks = formats.parse_detections((out_dir / "big.det.txt").read_text())
         assert blocks[0].width == 256
-        for d in blocks[0].detections:
-            assert 0 <= d.box[0] <= d.box[2] <= 256
+        for x0, _, x1, _, _ in blocks[0].rows:
+            assert 0 <= x0 <= x1 <= 256
 
     def test_verbose_reports_counters(self, tmp_path, model_path, capsys):
         img = tmp_path / "img.ppm"

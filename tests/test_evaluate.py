@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from facedet import evaluate as ev
-from facedet.postprocess import Detection
+from facedet import formats
+from facedet.cli import main
 from facedet.targets import jaccard
+
+from conftest import Det
 
 
 def det(x0, y0, x1, y1, score):
-    return Detection((x0, y0, x1, y1), score)
+    return Det((x0, y0, x1, y1), score)
+
+
+def rows(dets):
+    """(k, 5) `x_min y_min x_max y_max score` rows of a Det list."""
+    return np.array([[*d.box, d.score] for d in dets], dtype=np.float64).reshape(-1, 5)
 
 
 def brute_force_labels(dets, gts, threshold):
@@ -32,37 +40,37 @@ def brute_force_labels(dets, gts, threshold):
 class TestMatchDetections:
     def test_duplicate_detection_penalized(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 100, 100]]})
-        dets = {"a": [det(0, 0, 100, 100, 0.9), det(5, 5, 100, 100, 0.8)]}
-        labeled, matched = ev.match_detections(dets, gt)
-        assert [d.is_tp for d in labeled] == [True, False]
+        dets = {"a": rows([det(0, 0, 100, 100, 0.9), det(5, 5, 100, 100, 0.8)])}
+        _, is_tp, matched = ev.match_detections(dets, gt)
+        assert is_tp.tolist() == [True, False]
         assert matched["a"] == {0}
 
     def test_threshold_inclusive_at_half(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 100, 100]]})
         exactly_half = det(0, 0, 100, 50, 0.9)  # IoU 0.5
         just_below = det(0, 0, 100, 49, 0.9)  # IoU 0.49
-        labeled, _ = ev.match_detections({"a": [exactly_half]}, gt)
-        assert labeled[0].is_tp
-        labeled, _ = ev.match_detections({"a": [just_below]}, gt)
-        assert not labeled[0].is_tp
+        _, is_tp, _ = ev.match_detections({"a": rows([exactly_half])}, gt)
+        assert is_tp[0]
+        _, is_tp, _ = ev.match_detections({"a": rows([just_below])}, gt)
+        assert not is_tp[0]
 
     def test_zero_detections(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10]]})
-        labeled, matched = ev.match_detections({"a": []}, gt)
-        assert labeled == []
+        scores, is_tp, matched = ev.match_detections({"a": rows([])}, gt)
+        assert scores.shape == is_tp.shape == (0,)
         assert matched["a"] == set()
 
     def test_lower_scored_det_can_take_other_gt(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10], [20, 0, 30, 10]]})
-        dets = {"a": [det(0, 0, 10, 10, 0.9), det(20, 0, 30, 10, 0.5)]}
-        labeled, matched = ev.match_detections(dets, gt)
-        assert all(d.is_tp for d in labeled)
+        dets = {"a": rows([det(0, 0, 10, 10, 0.9), det(20, 0, 30, 10, 0.5)])}
+        _, is_tp, matched = ev.match_detections(dets, gt)
+        assert is_tp.all()
         assert matched["a"] == {0, 1}
 
     def test_unknown_image_listed(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10]]})
         with pytest.raises(ValueError, match=r"\['b', 'c'\]"):
-            ev.match_detections({"b": [], "c": [], "a": []}, gt)
+            ev.match_detections({"b": rows([]), "c": rows([]), "a": rows([])}, gt)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -81,93 +89,99 @@ class TestMatchDetections:
                         round(float(rng.uniform(0, 1)), 2))
                 )
             gt = ev.GroundTruthSet({"img": gts})
-            labeled, _ = ev.match_detections({"img": dets}, gt)
-            assert [d.is_tp for d in labeled] == brute_force_labels(dets, gts, 0.5)
+            _, is_tp, _ = ev.match_detections({"img": rows(dets)}, gt)
+            assert is_tp.tolist() == brute_force_labels(dets, gts, 0.5)
+
+
+def cumulative_sweep(pairs):
+    """Cumulative TP and FP counts over (score, is_tp) pairs in descending
+    score order, ties in list order: plain lists, no numpy sort."""
+    tp, fp = [], []
+    for _, is_tp in sorted(pairs, key=lambda pair: -pair[0]):
+        tp.append((tp[-1] if tp else 0) + is_tp)
+        fp.append((fp[-1] if fp else 0) + (not is_tp))
+    return tp, fp
 
 
 def labeled(*pairs):
-    return [ev.LabeledDetection("img", score, tp) for score, tp in pairs]
+    """(tp, fp) count arrays for the scoring functions, from (score, is_tp) pairs."""
+    tp, fp = cumulative_sweep(pairs)
+    return np.array(tp, dtype=np.int64), np.array(fp, dtype=np.int64)
 
 
 class TestPrecisionRecall:
     def test_perfect_detector(self):
-        _, ap = ev.precision_recall(labeled((0.9, True), (0.8, True)), total_faces=2)
+        _, ap = ev.precision_recall(*labeled((0.9, True), (0.8, True)), total_faces=2)
         assert ap == pytest.approx(1.0)
 
     def test_all_false_positives(self):
-        _, ap = ev.precision_recall(labeled((0.9, False), (0.8, False)), total_faces=2)
+        _, ap = ev.precision_recall(*labeled((0.9, False), (0.8, False)), total_faces=2)
         assert ap == pytest.approx(0.0)
 
     def test_tp_then_fp_half(self):
-        points, ap = ev.precision_recall(labeled((0.9, True), (0.8, False)), total_faces=2)
+        points, ap = ev.precision_recall(*labeled((0.9, True), (0.8, False)), total_faces=2)
         assert points == [(0.5, 1.0), (0.5, 0.5)]
         assert ap == pytest.approx(0.5)
 
     def test_envelope_interpolation(self):
         # FP first, then TP: envelope lifts the precision at recall 0.5 to 0.5
-        _, ap = ev.precision_recall(labeled((0.9, False), (0.8, True)), total_faces=1)
+        _, ap = ev.precision_recall(*labeled((0.9, False), (0.8, True)), total_faces=1)
         assert ap == pytest.approx(0.5)
 
     def test_recall_monotone(self):
         rng = np.random.default_rng(1)
-        rows = labeled(*[(float(rng.uniform(0, 1)), bool(rng.random() < 0.5)) for _ in range(50)])
-        points, _ = ev.precision_recall(rows, total_faces=40)
+        pairs = [(float(rng.uniform(0, 1)), bool(rng.random() < 0.5)) for _ in range(50)]
+        points, _ = ev.precision_recall(*labeled(*pairs), total_faces=40)
         recalls = [r for r, _ in points]
         assert recalls == sorted(recalls)
 
     def test_score_transform_invariance(self):
         rng = np.random.default_rng(2)
-        rows = [
-            ev.LabeledDetection("img", float(rng.uniform(0.01, 1)), bool(rng.random() < 0.4))
-            for _ in range(60)
-        ]
-        _, ap = ev.precision_recall(rows, total_faces=30)
-        squashed = [ev.LabeledDetection(d.image_id, d.score**3, d.is_tp) for d in rows]
-        _, ap2 = ev.precision_recall(squashed, total_faces=30)
+        pairs = [(float(rng.uniform(0.01, 1)), bool(rng.random() < 0.4)) for _ in range(60)]
+        _, ap = ev.precision_recall(*labeled(*pairs), total_faces=30)
+        squashed = [(score**3, is_tp) for score, is_tp in pairs]
+        _, ap2 = ev.precision_recall(*labeled(*squashed), total_faces=30)
         assert ap == pytest.approx(ap2)
 
     def test_total_faces_required(self):
         with pytest.raises(ValueError):
-            ev.precision_recall(labeled((0.5, True)), total_faces=0)
+            ev.precision_recall(*labeled((0.5, True)), total_faces=0)
 
 
 class TestTprAtFp:
     def test_budget_beyond_all_fps_saturates(self):
-        rows = labeled((0.9, True), (0.8, False), (0.7, True))
-        out = ev.tpr_at_fp(rows, total_faces=4, fp_budgets=[1000])
+        out = ev.tpr_at_fp(*labeled((0.9, True), (0.8, False), (0.7, True)), 4, [1000])
         assert out[1000] == pytest.approx(2 / 4)
 
     def test_first_fp_at_rank_one(self):
-        rows = labeled((0.9, False), (0.8, True))
-        out = ev.tpr_at_fp(rows, total_faces=2, fp_budgets=[0.5])
+        out = ev.tpr_at_fp(*labeled((0.9, False), (0.8, True)), 2, [0.5])
         assert out[0.5] == 0.0
 
     def test_hand_computed_sequence(self):
         # T F T T F F T F F F -> cum TP (1,1,2,3,3,3,4,...), cum FP (0,1,1,1,2,3,3,4,5,6)
         seq = [True, False, True, True, False, False, True, False, False, False]
-        rows = labeled(*[(1.0 - 0.05 * i, tp) for i, tp in enumerate(seq)])
-        out = ev.tpr_at_fp(rows, total_faces=5, fp_budgets=[1, 2, 3, 100])
+        pairs = [(1.0 - 0.05 * i, tp) for i, tp in enumerate(seq)]
+        out = ev.tpr_at_fp(*labeled(*pairs), 5, [1, 2, 3, 100])
         assert out[1] == pytest.approx(3 / 5)  # just before FP count hits 2
         assert out[2] == pytest.approx(3 / 5)
         assert out[3] == pytest.approx(4 / 5)
         assert out[100] == pytest.approx(4 / 5)
 
     def test_lower_scored_fp_cannot_change_saturated_budget(self):
-        rows = labeled((0.9, True), (0.8, False), (0.7, True))
-        with_extra = rows + labeled((0.1, False))
-        a = ev.tpr_at_fp(rows, 4, [1])
-        b = ev.tpr_at_fp(with_extra, 4, [1])
+        pairs = [(0.9, True), (0.8, False), (0.7, True)]
+        a = ev.tpr_at_fp(*labeled(*pairs), 4, [1])
+        b = ev.tpr_at_fp(*labeled(*pairs, (0.1, False)), 4, [1])
         assert a[1] == b[1]
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            ev.tpr_at_fp(labeled((0.5, True)), 1, [0])
+            ev.tpr_at_fp(*labeled((0.5, True)), 1, [0])
 
 
 class TestEvaluateDetections:
     def test_end_to_end(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10], [50, 50, 80, 80]]})
-        dets = {"a": [det(0, 0, 10, 10, 0.9), det(200, 200, 210, 210, 0.8)]}
+        dets = {"a": rows([det(0, 0, 10, 10, 0.9), det(200, 200, 210, 210, 0.8)])}
         result = ev.evaluate_detections(dets, gt, fp_budgets=(1, 1000))
         assert result.average_precision == pytest.approx(0.5)
         assert result.tpr_at_fp[1000] == pytest.approx(0.5)
@@ -176,3 +190,58 @@ class TestEvaluateDetections:
     def test_total_faces_counted(self):
         gt = ev.GroundTruthSet({"a": [[0, 0, 1, 1]], "b": [[0, 0, 1, 1], [2, 2, 3, 3]]})
         assert gt.total_faces == 3
+
+
+class TestEvalCommandOracle:
+    def test_multi_image_matches_plain_python(self, tmp_path):
+        """`eval` over several images whose scores tie across images equals
+        per-image brute-force labels plus a list-based cumulative sweep, so
+        cross-image ties keep image order, then row order."""
+        rng = np.random.default_rng(7)
+        gt_blocks, det_paths, labels, total = [], [], [], 0
+        for i in range(4):
+            # integer corners and one-decimal scores survive the text round trip
+            gts = []
+            for _ in range(int(rng.integers(1, 5))):
+                x, y = rng.integers(0, 150, 2).tolist()
+                w, h = rng.integers(20, 50, 2).tolist()
+                gts.append([x, y, x + w, y + h])
+            # a shifted copy of every face but the last, then random boxes
+            boxes = []
+            for x0, y0, x1, y1 in gts[:-1]:
+                dx, dy = rng.integers(-4, 5, 2).tolist()
+                boxes.append([x0 + dx, y0 + dy, x1 + dx, y1 + dy])
+            for x, y in rng.integers(0, 150, (int(rng.integers(2, 6)), 2)).tolist():
+                boxes.append([x, y, x + 30, y + 30])
+            dets = [det(*box, float(rng.choice([0.3, 0.5, 0.7, 0.9]))) for box in boxes]
+            faces = [f"face {x0} {y0} {x1} {y1}" for x0, y0, x1, y1 in gts]
+            gt_blocks.append("\n".join([f"image img{i} 200 200", *faces]))
+            det_paths.append(tmp_path / f"img{i}.det.txt")
+            det_paths[-1].write_text(formats.format_detections(f"img{i}", 200, 200, rows(dets)))
+            flags = brute_force_labels(dets, gts, 0.5)
+            labels += [(i, d.score, tp) for d, tp in zip(dets, flags)]
+            total += len(gts)
+        (tmp_path / "gt.txt").write_text("\n\n".join(gt_blocks) + "\n")
+        assert any(
+            a[1] == b[1] and a[0] != b[0] and a[2] != b[2] for a in labels for b in labels
+        ), "no cross-image TP/FP tie to order"
+
+        out = tmp_path / "eval.txt"
+        argv = ["eval", "--gt", str(tmp_path / "gt.txt"), "--dets", *map(str, det_paths),
+                "--fp-budgets", "1,2,1000", "--out", str(out)]
+        assert main(argv) == 0
+
+        tp, fp = cumulative_sweep([(score, tp) for _, score, tp in labels])
+        recall = [t / total for t in tp]
+        precision = [t / (t + f) for t, f in zip(tp, fp)]
+        envelope = [max(precision[i:]) for i in range(len(precision))]
+        ap = sum((r - prev) * e for r, prev, e in zip(recall, [0.0] + recall, envelope))
+        want = [f"pr\t{r:.6f}\t{p:.6f}" for r, p in zip(recall, precision)]
+        want += [f"roc\t{f}\t{t / total:.6f}" for t, f in zip(tp, fp)]
+        summary = ["summary", f"ap\t{ap:.6f}", f"faces\t{total}", f"detections\t{len(labels)}"]
+        for budget in (1, 2, 1000):
+            # the TP count at the last rank before the FP count exceeds the budget
+            cut = next((k for k, f in enumerate(fp) if f > budget), len(fp))
+            summary.append(f"tpr@{budget}\t{tp[cut - 1] / total if cut else 0.0:.6f}")
+        want.append("\t".join(summary))
+        assert out.read_text() == "\n".join(want) + "\n"

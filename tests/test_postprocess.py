@@ -8,6 +8,8 @@ from facedet.anchors import AnchorLayerConfig, generate_anchors
 from facedet.network import HeadOutputs, forward
 from facedet.targets import decode_boxes
 
+from conftest import Det
+
 
 def brute_force_nms(dets, threshold):
     """O(n^2) suppression oracle: precomputed IoU table, plain list walk."""
@@ -38,13 +40,13 @@ def random_detections(rng, n, field=200.0):
     h = rng.uniform(5, 80, n)
     scores = np.round(rng.uniform(0, 1, n), 3)  # rounding forces score ties
     return [
-        pp.Detection((x0[i], y0[i], x0[i] + w[i], y0[i] + h[i]), float(scores[i]))
+        Det((x0[i], y0[i], x0[i] + w[i], y0[i] + h[i]), float(scores[i]))
         for i in range(n)
     ]
 
 
 def nms_dets(dets, threshold):
-    """pp.nms on the arrays of a Detection list, mapped back to the list."""
+    """pp.nms on the arrays of a Det list, mapped back to the list."""
     boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     return [dets[i] for i in pp.nms(boxes, scores, threshold)]
@@ -57,28 +59,28 @@ def single_layer_heads(loc, conf):
 class TestNms:
     def test_pair_suppression(self):
         # B overlaps A at IoU 200/600 = 1/3 > 0.3, C is disjoint
-        a = pp.Detection((0, 0, 20, 20), 0.9)
-        b = pp.Detection((0, 10, 20, 30), 0.8)
-        c = pp.Detection((100, 100, 120, 120), 0.7)
+        a = Det((0, 0, 20, 20), 0.9)
+        b = Det((0, 10, 20, 30), 0.8)
+        c = Det((100, 100, 120, 120), 0.7)
         out = nms_dets([a, b, c], 0.3)
         assert out == [a, c]
 
     def test_disjoint_preserved_sorted(self):
         dets = [
-            pp.Detection((i * 50.0, 0.0, i * 50.0 + 10, 10.0), s)
+            Det((i * 50.0, 0.0, i * 50.0 + 10, 10.0), s)
             for i, s in enumerate([0.2, 0.9, 0.5])
         ]
         out = nms_dets(dets, 0.3)
         assert [d.score for d in out] == [0.9, 0.5, 0.2]
 
     def test_duplicates_collapse(self):
-        d = pp.Detection((5, 5, 25, 25), 0.7)
+        d = Det((5, 5, 25, 25), 0.7)
         out = nms_dets([d, d, d], 0.99)
         assert out == [d]
 
     def test_tie_breaks_to_earlier_index(self):
-        a = pp.Detection((0, 0, 10, 10), 0.5)
-        b = pp.Detection((0, 0, 10, 10), 0.5)
+        a = Det((0, 0, 10, 10), 0.5)
+        b = Det((0, 0, 10, 10), 0.5)
         out = nms_dets([b, a], 0.3)
         assert out == [b]
 
@@ -300,7 +302,7 @@ class TestFunnel:
 
         boxes, scores = pp.decode_all(heads, aset)
         candidates = [
-            pp.Detection(tuple(box), score)
+            Det(tuple(box), score)
             for box, score in zip(boxes.tolist(), scores.tolist())
             if box[2] > box[0] and box[3] > box[1] and score > cfg.conf_threshold
         ]
