@@ -7,12 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 input/data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import json
-import os
 import statistics
-import subprocess
 import sys
 import threading
 import time
@@ -244,9 +240,10 @@ def cmd_detect(args) -> int:
     return EXIT_DATA if failures else EXIT_OK
 
 
-def _bench_pass(args):
-    """Build what `bench` times and return one warmed timed pass, which
-    gives (forward ms, pipeline ms)."""
+def cmd_bench(args) -> int:
+    if args.reps < 3:
+        raise ValueError(f"--reps must be at least 3, got {args.reps}")
+    check_input_pixels(args.height, args.width)  # before the image is allocated
     descriptor = default_descriptor()
     if args.model:
         weights = load_weights(args.model, descriptor)
@@ -267,85 +264,20 @@ def _bench_pass(args):
         return (t1 - t0) * 1e3, (t2 - t0) * 1e3
 
     one_pass()  # warm-up
-    return one_pass
-
-
-# `bench --threads N` runs N worker processes, not threads: Python threads
-# serialise on the GIL between numpy calls, and N threads that each drive a
-# multi-threaded BLAS oversubscribe the cores.  Each worker gets cores // N
-# BLAS threads, set in its environment before its BLAS loads.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_BENCH_WORKER = (
-    "import sys; from facedet.cli import bench_worker; bench_worker(sys.stdin, sys.stdout)"
-)
-
-
-def bench_worker(stdin, stdout) -> None:
-    """One `bench` worker process: read its settings as a JSON line, warm up,
-    print "ready" (or the input error), wait for the parent to close stdin,
-    then print its passes."""
-    args = argparse.Namespace(**json.loads(stdin.readline()))
-    try:
-        one_pass = _bench_pass(args)
-    except (WeightFormatError, OSError, ValueError) as e:
-        print(f"error: {e}", file=stdout, flush=True)
-        return
-    print("ready", file=stdout, flush=True)
-    stdin.read()
-    print(json.dumps([one_pass() for _ in range(args.reps)]), file=stdout, flush=True)
-
-
-def _bench_workers(args) -> tuple[list[tuple[float, float]], float]:
-    n = min(args.threads, args.reps)
-    shares = [args.reps // n + (i < args.reps % n) for i in range(n)]
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    env = dict(os.environ, **{v: str(max(1, (cores or 1) // n)) for v in _BLAS_THREAD_VARS})
-    src = str(Path(__file__).resolve().parents[1])  # import this facedet, not another
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    settings = {k: getattr(args, k) for k in ("width", "height", "model", "seed")}
-    with contextlib.ExitStack() as stack:
-        procs = [
-            stack.enter_context(
-                subprocess.Popen(
-                    [sys.executable, "-c", _BENCH_WORKER],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
-                )
-            )
-            for _ in shares
-        ]
-        stack.callback(lambda: [proc.kill() for proc in procs])  # runs before each wait
-        for proc, reps in zip(procs, shares):
-            proc.stdin.write(json.dumps({**settings, "reps": reps}) + "\n")
-            proc.stdin.flush()
-        for proc in procs:
-            line = proc.stdout.readline()
-            if line.startswith("error: "):
-                raise ValueError(line.removeprefix("error: ").rstrip("\n"))
-            if line != "ready\n":
-                raise RuntimeError(f"bench worker exited with code {proc.wait()}")
-        wall0 = time.perf_counter()
-        for proc in procs:
-            proc.stdin.close()
-        results = [proc.stdout.readline() for proc in procs]
-        wall_s = time.perf_counter() - wall0
-    if not all(results):
-        raise RuntimeError("a bench worker exited before reporting its passes")
-    return [tuple(p) for line in results for p in json.loads(line)], wall_s
-
-
-def cmd_bench(args) -> int:
-    if args.reps < 3:
-        raise ValueError(f"--reps must be at least 3, got {args.reps}")
-    check_input_pixels(args.height, args.width)  # before the image is allocated
+    forward_ms: list[float] = []
+    pipeline_ms: list[float] = []
+    wall0 = time.perf_counter()
     if args.threads > 1:
-        passes, wall_s = _bench_workers(args)
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            for f_ms, p_ms in pool.map(lambda _: one_pass(), range(args.reps)):
+                forward_ms.append(f_ms)
+                pipeline_ms.append(p_ms)
     else:
-        one_pass = _bench_pass(args)
-        wall0 = time.perf_counter()
-        passes = [one_pass() for _ in range(args.reps)]
-        wall_s = time.perf_counter() - wall0
-    forward_ms = [f for f, _ in passes]
-    pipeline_ms = [p for _, p in passes]
+        for _ in range(args.reps):
+            f_ms, p_ms = one_pass()
+            forward_ms.append(f_ms)
+            pipeline_ms.append(p_ms)
+    wall_s = time.perf_counter() - wall0
 
     f_med = statistics.median(forward_ms)
     f_std = statistics.pstdev(forward_ms)
@@ -424,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--model", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--threads", type=int, default=1, help="worker processes, each on cores/N BLAS threads"
-    )
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     return parser

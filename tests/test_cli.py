@@ -312,22 +312,6 @@ class TestBenchCommand:
         assert main(["bench", "--width", side, "--height", side, "--reps", "3"]) == 2
         assert f"cap of {network.MAX_INPUT_PIXELS} pixels" in capsys.readouterr().err
 
-    def test_workers_report_every_rep(self, capsys):
-        # 5 reps over 2 worker processes: shares of 3 and 2, all reported
-        code = main(["bench", "--width", "128", "--height", "128", "--reps", "5",
-                     "--threads", "2", "--seed", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "5 reps, 2 thread(s)" in out
-        fps = float(re.search(r"BENCH w=128 h=128 reps=5 threads=2 .* fps=([\d.]+)", out).group(1))
-        assert fps > 0
-
-    def test_worker_input_error_is_2(self, capsys):
-        # the input error surfaces from inside a worker process
-        assert main(["bench", "--width", "96", "--height", "96", "--reps", "3",
-                     "--threads", "2"]) == 2
-        assert "below the minimum supported size" in capsys.readouterr().err
-
     def test_multithreaded_not_slower(self, capsys):
         # wall time with 2 workers should not exceed the single-thread wall
         # time by more than scheduler noise (images are processed in parallel)
