@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import MIN_INPUT_SIZE, NetworkDescriptor, default_descriptor
+from .network import NetworkDescriptor, default_descriptor
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ def default_anchor_configs() -> tuple[AnchorLayerConfig, ...]:
     )
 
 
-def _check_image_size(image_w, image_h) -> None:
-    if min(image_w, image_h) < MIN_INPUT_SIZE:
-        raise ValueError(
-            f"image {image_w}x{image_h} is below the minimum supported size "
-            f"{MIN_INPUT_SIZE}x{MIN_INPUT_SIZE}"
-        )
-
-
 def tiling_density(scale, interval) -> Fraction:
     """scale / interval, kept exact."""
     if interval <= 0:
@@ -66,7 +58,6 @@ def feature_map_size(
     image_w: int, image_h: int, layer: str, descriptor: NetworkDescriptor | None = None
 ) -> tuple[int, int]:
     """(cols, rows) of the grid `layer` produces, via the conv/pool size chain."""
-    _check_image_size(image_w, image_h)
     d = descriptor or default_descriptor()
     sizes = d.spatial_sizes(image_h, image_w)
     if layer not in sizes:
@@ -137,16 +128,6 @@ class AnchorSet:
             )
 
 
-def _grid_size(cfg: AnchorLayerConfig, image_w, image_h, descriptor) -> tuple[int, int]:
-    d = descriptor or default_descriptor()
-    sizes = d.spatial_sizes(image_h, image_w)
-    if cfg.layer in sizes:
-        h, w = sizes[cfg.layer]
-        return w, h
-    # synthetic configs that name no descriptor layer tile by plain stride
-    return math.ceil(image_w / cfg.stride), math.ceil(image_h / cfg.stride)
-
-
 def generate_anchors(
     image_w: int,
     image_h: int,
@@ -154,12 +135,15 @@ def generate_anchors(
     descriptor: NetworkDescriptor | None = None,
 ) -> AnchorSet:
     """Tile every configured (scale, densify) over its layer grid."""
-    _check_image_size(image_w, image_h)
+    sizes = (descriptor or default_descriptor()).spatial_sizes(image_h, image_w)
     configs = tuple(configs) if configs is not None else default_anchor_configs()
     parts_f: list[np.ndarray] = []  # cx, cy, side columns
     parts_i: list[np.ndarray] = []  # layer, row, col, scale, sub columns
     for li, cfg in enumerate(configs):
-        cols, rows = _grid_size(cfg, image_w, image_h, descriptor)
+        if cfg.layer in sizes:
+            rows, cols = sizes[cfg.layer]
+        else:  # synthetic configs that name no descriptor layer tile by plain stride
+            cols, rows = math.ceil(image_w / cfg.stride), math.ceil(image_h / cfg.stride)
         template = []  # (off_x, off_y, side, sub) per anchor of one cell
         for scale, n in cfg.scales:
             step = cfg.stride / n

@@ -10,7 +10,6 @@ import argparse
 import functools
 import statistics
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -39,8 +38,7 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 # conventional detection preprocessing (~104/117/123 over 255); configurable
-DEFAULT_MEAN = (0.4078, 0.4588, 0.4824)
-_DEFAULT_MEAN_FLAG = ",".join(str(v) for v in DEFAULT_MEAN)
+DEFAULT_MEAN = "0.4078,0.4588,0.4824"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,6 +167,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _detect_image(weights, descriptor, x, anchors_for, cfg):
+    """forward -> anchors -> postprocess on one mean-subtracted (1, 3, h, w)
+    image; `anchors_for` is a cached `generate_anchors`.  Returns (rows, stats,
+    forward ms, postprocess ms)."""
+    t0 = time.perf_counter()
+    heads = forward(weights, descriptor, x)
+    t1 = time.perf_counter()
+    rows, stats = run_postprocess(heads, anchors_for(x.shape[3], x.shape[2]), cfg)
+    t2 = time.perf_counter()
+    return rows, stats, (t1 - t0) * 1e3, (t2 - t1) * 1e3
+
+
 def cmd_detect(args) -> int:
     out_dir = Path(args.out_dir)
     inputs: dict[Path, str] = {}
@@ -186,9 +196,6 @@ def cmd_detect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     anchors_for = functools.cache(generate_anchors)
 
-    stage_times: dict[str, list[float]] = {"load": [], "forward": [], "postprocess": [], "write": []}
-    times_lock = threading.Lock()
-
     def process(path: str, out_path: Path):
         t0 = time.perf_counter()
         image = ppm.read_ppm(path)
@@ -197,29 +204,27 @@ def cmd_detect(args) -> int:
             image = resize_bilinear(image, resize[1], resize[0])
         used_h, used_w = image.shape[2], image.shape[3]
         x = image - mean
+        load_ms = (time.perf_counter() - t0) * 1e3
+        rows, stats, forward_ms, postprocess_ms = _detect_image(
+            weights, descriptor, x, anchors_for, cfg
+        )
         t1 = time.perf_counter()
-        heads = forward(weights, descriptor, x)
-        t2 = time.perf_counter()
-        rows, stats = run_postprocess(heads, anchors_for(used_w, used_h), used_w, used_h, cfg)
         if resize:
             sx, sy = orig_w / used_w, orig_h / used_h
             rows[:, :4] *= [sx, sy, sx, sy]
-        t3 = time.perf_counter()
         out_path.write_text(formats.format_detections(path, orig_w, orig_h, rows))
-        t4 = time.perf_counter()
-        with times_lock:
-            stage_times["load"].append((t1 - t0) * 1e3)
-            stage_times["forward"].append((t2 - t1) * 1e3)
-            stage_times["postprocess"].append((t3 - t2) * 1e3)
-            stage_times["write"].append((t4 - t3) * 1e3)
-        return out_path, stats
+        write_ms = (time.perf_counter() - t1) * 1e3
+        return out_path, stats, (load_ms, forward_ms, postprocess_ms, write_ms)
 
+    stage_times: dict[str, list[float]] = {"load": [], "forward": [], "postprocess": [], "write": []}
     failures = []
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         futures = {pool.submit(process, p, o): p for o, p in inputs.items()}
         for future, path in futures.items():
             try:
-                out_path, stats = future.result()
+                out_path, stats, times = future.result()
+                for values, ms in zip(stage_times.values(), times):
+                    values.append(ms)
                 line = f"wrote {out_path} count {stats['kept']}"
                 if args.verbose:
                     line += (
@@ -251,33 +256,19 @@ def cmd_bench(args) -> int:
         weights = xavier_init(descriptor, args.seed)
     rng = np.random.default_rng(args.seed)
     image = rng.random((1, 3, args.height, args.width), dtype=np.float32)
-    image -= _parse_mean(_DEFAULT_MEAN_FLAG)
-    anchor_set = generate_anchors(args.width, args.height)
+    image -= _parse_mean(DEFAULT_MEAN)
+    anchors_for = functools.cache(generate_anchors)
     cfg = PostprocessConfig()
 
-    def one_pass() -> tuple[float, float]:
-        t0 = time.perf_counter()
-        heads = forward(weights, descriptor, image)
-        t1 = time.perf_counter()
-        run_postprocess(heads, anchor_set, args.width, args.height, cfg)
-        t2 = time.perf_counter()
-        return (t1 - t0) * 1e3, (t2 - t0) * 1e3
-
-    one_pass()  # warm-up
-    forward_ms: list[float] = []
-    pipeline_ms: list[float] = []
+    one_pass = functools.partial(_detect_image, weights, descriptor, image, anchors_for, cfg)
+    one_pass()  # warm-up, which also builds the anchors
     wall0 = time.perf_counter()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for f_ms, p_ms in pool.map(lambda _: one_pass(), range(args.reps)):
-                forward_ms.append(f_ms)
-                pipeline_ms.append(p_ms)
-    else:
-        for _ in range(args.reps):
-            f_ms, p_ms = one_pass()
-            forward_ms.append(f_ms)
-            pipeline_ms.append(p_ms)
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        futures = [pool.submit(one_pass) for _ in range(args.reps)]
     wall_s = time.perf_counter() - wall0
+    passes = [future.result() for future in futures]
+    forward_ms = [f_ms for _, _, f_ms, _ in passes]
+    pipeline_ms = [f_ms + p_ms for _, _, f_ms, p_ms in passes]
 
     f_med = statistics.median(forward_ms)
     f_std = statistics.pstdev(forward_ms)
@@ -297,6 +288,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="facedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("images", nargs="+")
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--mean", type=_parse_mean, default=_parse_mean(_DEFAULT_MEAN_FLAG))
+    p.add_argument("--mean", type=_parse_mean, default=DEFAULT_MEAN)
     p.add_argument(
         "--resize", type=_parse_size, default=None, help="WxH forward size; detections map back"
     )

@@ -110,8 +110,14 @@ class NetworkDescriptor:
     def spatial_sizes(self, height: int, width: int) -> dict[str, tuple[int, int]]:
         """(h, w) of every layer output for the given input size.
 
-        Raises ValueError naming the first layer whose output would collapse.
+        Raises ValueError for an input below MIN_INPUT_SIZE on either side, or
+        naming the first layer whose output would collapse.
         """
+        if min(height, width) < MIN_INPUT_SIZE:
+            raise ValueError(
+                f"input {width}x{height} is below the minimum supported size "
+                f"{MIN_INPUT_SIZE}x{MIN_INPUT_SIZE}"
+            )
         sizes = {INPUT_NAME: (int(height), int(width))}
         for layer in self.layers:
             h, w = sizes[layer.inputs[0]]
@@ -258,13 +264,6 @@ def xavier_init(descriptor: NetworkDescriptor, seed: int) -> ModelWeights:
     return ModelWeights(entries, descriptor.fingerprint())
 
 
-def parameter_count(descriptor: NetworkDescriptor) -> int:
-    total = 0
-    for _, (co, ci, kh, kw) in descriptor.conv_entries():
-        total += co * ci * kh * kw + co
-    return total
-
-
 def inception_forward(x, branch_weights) -> np.ndarray:
     """One Inception block: four stride-1 branches over a 128-channel input,
     concatenated back to 128 channels at the same spatial size.
@@ -297,14 +296,6 @@ class HeadOutputs:
     loc: dict[str, np.ndarray]
     conf: dict[str, np.ndarray]
 
-    def slot_count(self) -> int:
-        """Total anchors the heads predict for (cells x anchors-per-cell)."""
-        total = 0
-        for src in self.sources:
-            _, c4, h, w = self.loc[src].shape
-            total += h * w * (c4 // 4)
-        return total
-
 
 def check_input_pixels(height: int, width: int) -> None:
     """Reject an input of more than MAX_INPUT_PIXELS pixels, naming the cap."""
@@ -329,12 +320,8 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
     first = descriptor.layers[0]
     if image.shape[1] != first.in_channels:
         raise ValueError(f"expected {first.in_channels}-channel input, got {image.shape[1]}")
-    if min(image.shape[2], image.shape[3]) < MIN_INPUT_SIZE:
-        raise ValueError(
-            f"input {image.shape[3]}x{image.shape[2]} is below the minimum "
-            f"supported size {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE}"
-        )
-    descriptor.spatial_sizes(image.shape[2], image.shape[3])  # names any degenerate layer
+    # rejects an input below the size floor or one that collapses a layer
+    descriptor.spatial_sizes(image.shape[2], image.shape[3])
 
     acts: dict[str, np.ndarray] = {INPUT_NAME: image}
     # a crelu layer is not run on its own: the pool reading it applies it after
@@ -420,12 +407,13 @@ def load_weights(path, descriptor: NetworkDescriptor | None = None) -> ModelWeig
         )
 
     entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for expected_name, expected_shape in descriptor.conv_entries():
+    for name, expected_shape in descriptor.conv_entries():
         (name_len,) = struct.unpack("<I", take(4, "entry name length"))
-        name = take(name_len, "entry name").decode("utf-8")
-        if name != expected_name:
+        # compared as bytes: a name that is not UTF-8 is a mismatch, not a decode error
+        found = take(name_len, "entry name")
+        if found != name.encode():
             raise WeightFormatError(
-                "entry_mismatch", f"entry {name!r} where {expected_name!r} was expected"
+                "entry_mismatch", f"entry {found!r} where {name!r} was expected"
             )
         dims = struct.unpack("<4I", take(16, f"{name} dims"))
         if dims != expected_shape:

@@ -252,17 +252,3 @@ def concat_channels(inputs) -> np.ndarray:
                 "batch or spatial dims differ"
             )
     return np.concatenate(tensors, axis=1)
-
-
-def softmax_pairs(logits) -> np.ndarray:
-    """Softmax over adjacent channel pairs (2i, 2i+1), max-subtracted so large
-    logits cannot overflow.  Each pair sums to 1."""
-    x = as_tensor(logits)
-    n, c, h, w = x.shape
-    if c % 2:
-        raise ValueError(f"softmax_pairs needs an even channel count, got {c}")
-    pairs = x.reshape(n, c // 2, 2, h, w)
-    shifted = pairs - pairs.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=2, keepdims=True)
-    return np.ascontiguousarray(out.reshape(n, c, h, w))

@@ -35,13 +35,20 @@ class PostprocessConfig:
             raise ValueError("top-k limits must be positive")
 
 
-def flatten_heads(heads: HeadOutputs, sample: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor rows (loc (N, 4), conf (N, 2)) in anchor-set order: sources
-    in order, cells row-major, per-cell anchors by channel group."""
+def flatten_heads(heads: HeadOutputs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-anchor rows (loc (N, 4), conf (N, 2)) of a one-image batch, in
+    anchor-set order: sources in order, cells row-major, per-cell anchors by
+    channel group.  Raises ValueError for a batch of more than one image and
+    for a head map holding NaN or infinite values, naming its layer."""
     locs, confs = [], []
     for src in heads.sources:
-        loc = heads.loc[src][sample]
-        conf = heads.conf[src][sample]
+        loc, conf = heads.loc[src], heads.conf[src]
+        if loc.shape[0] != 1 or conf.shape[0] != 1:
+            raise ValueError(f"head {src!r} holds {loc.shape[0]} images; postprocess takes one")
+        for kind, maps in (("loc", loc), ("conf", conf)):
+            if not np.isfinite(maps).all():
+                raise ValueError(f"head {src}.{kind} holds NaN or infinite values")
+        loc, conf = loc[0], conf[0]
         c4, h, w = loc.shape
         a = c4 // 4
         if c4 != 4 * a or conf.shape != (2 * a, h, w):
@@ -51,19 +58,14 @@ def flatten_heads(heads: HeadOutputs, sample: int = 0) -> tuple[np.ndarray, np.n
     return np.concatenate(locs), np.concatenate(confs)
 
 
-def decode_all(
-    heads: HeadOutputs,
-    anchor_set: AnchorSet,
-    variances: EncodeVariances = EncodeVariances(),
-    sample: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def decode_all(heads: HeadOutputs, anchor_set: AnchorSet) -> tuple[np.ndarray, np.ndarray]:
     """One (corner box, face score) per anchor, unclipped, in anchor order.
     Size offsets are clamped at SIZE_OFFSET_CLIP after variance scaling."""
-    loc, conf = flatten_heads(heads, sample)
+    loc, conf = flatten_heads(heads)
     if loc.shape[0] != len(anchor_set):
         raise ValueError(f"heads predict {loc.shape[0]} slots but {len(anchor_set)} anchors exist")
-    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / variances.size)
-    boxes = decode_boxes(anchor_set.center_sizes(), loc, variances).astype(np.float32)
+    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / EncodeVariances().size)
+    boxes = decode_boxes(anchor_set.center_sizes(), loc).astype(np.float32)
     shifted = conf - conf.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     scores = (e[:, 1] / e.sum(axis=1)).astype(np.float32)
@@ -87,20 +89,13 @@ def nms(boxes, scores, overlap_threshold: float) -> np.ndarray:
 
 
 def run_postprocess(
-    heads: HeadOutputs,
-    anchor_set: AnchorSet,
-    image_w: int,
-    image_h: int,
-    cfg: PostprocessConfig | None = None,
-    variances: EncodeVariances = EncodeVariances(),
-    sample: int = 0,
+    heads: HeadOutputs, anchor_set: AnchorSet, cfg: PostprocessConfig = PostprocessConfig()
 ) -> tuple[np.ndarray, dict[str, int]]:
     """decode -> drop degenerate boxes -> keep score > threshold -> top 400 ->
-    NMS -> top 200 -> clip.  Returns (rows, stats): rows is a (k, 5) float64
-    array of `x_min y_min x_max y_max score` sorted by descending score, and
-    stats counts the funnel."""
-    cfg = cfg or PostprocessConfig()
-    boxes, scores = decode_all(heads, anchor_set, variances, sample)
+    NMS -> top 200 -> clip to the anchor set's image.  Returns (rows, stats):
+    rows is a (k, 5) float64 array of `x_min y_min x_max y_max score` sorted by
+    descending score, and stats counts the funnel."""
+    boxes, scores = decode_all(heads, anchor_set)
     decoded = boxes.shape[0]
 
     valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
@@ -115,7 +110,8 @@ def run_postprocess(
     kept = nms(boxes, scores, cfg.nms_overlap)[: cfg.post_nms_top_k]
 
     rows = np.empty((len(kept), 5))
-    rows[:, :4] = np.clip(boxes[kept], 0.0, [image_w, image_h, image_w, image_h])
+    w, h = anchor_set.image_w, anchor_set.image_h
+    rows[:, :4] = np.clip(boxes[kept], 0.0, [w, h, w, h])
     rows[:, 4] = scores[kept]
     stats = {
         "decoded": decoded,

@@ -15,6 +15,20 @@ class Det(NamedTuple):
     score: float
 
 
+def parameter_count(descriptor) -> int:
+    """Weights plus biases over every conv entry of the descriptor."""
+    return sum(co * ci * kh * kw + co for _, (co, ci, kh, kw) in descriptor.conv_entries())
+
+
+def slot_count(heads) -> int:
+    """Total anchors the heads predict for (cells x anchors-per-cell)."""
+    total = 0
+    for src in heads.sources:
+        _, c4, h, w = heads.loc[src].shape
+        total += h * w * (c4 // 4)
+    return total
+
+
 @pytest.fixture(scope="session")
 def descriptor():
     return default_descriptor()

@@ -1,4 +1,5 @@
-"""Slow loop-based twins of `ops.conv2d` and `ops.maxpool2d`.
+"""Slow loop-based twins of `ops.conv2d` and `ops.maxpool2d`, and the
+pairwise channel softmax the decoded face scores are checked against.
 
 They share no code with the fast operators beyond input coercion, argument
 parsing and the output-size formula, so the tests can use them as independent oracles.
@@ -68,3 +69,17 @@ def maxpool2d_naive(x, kernel, stride=1, padding=0) -> np.ndarray:
                                 best = max(best, float(x[b, ch, iy, ix]))
                     out[b, ch, oy, ox] = best
     return out.astype(DTYPE)
+
+
+def softmax_pairs(logits) -> np.ndarray:
+    """Softmax over adjacent channel pairs (2i, 2i+1), max-subtracted so large
+    logits cannot overflow.  Each pair sums to 1."""
+    x = as_tensor(logits)
+    n, c, h, w = x.shape
+    if c % 2:
+        raise ValueError(f"softmax_pairs needs an even channel count, got {c}")
+    pairs = x.reshape(n, c // 2, 2, h, w)
+    shifted = pairs - pairs.max(axis=2, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=2, keepdims=True)
+    return np.ascontiguousarray(out.reshape(n, c, h, w))

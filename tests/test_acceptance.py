@@ -16,7 +16,7 @@ from facedet.formats import parse_detections
 from facedet.network import save_weights
 from facedet.targets import jaccard, softmax_cross_entropy
 
-from conftest import DEFAULT_MEAN, Det, build_smoke_weights, tent_blob_image
+from conftest import DEFAULT_MEAN, Det, build_smoke_weights, slot_count, tent_blob_image
 from naive_ops import conv2d_naive
 from test_targets import brute_force_match, dense_instance, random_instance
 
@@ -78,7 +78,7 @@ def test_04_head_anchor_consistency(descriptor, random_weights):
         for w, h in ((640, 640), (1024, 1024), (640, 480)):
             x = np.random.default_rng(1).random((1, 3, h, w), dtype=np.float32)
             heads = fd.forward(random_weights, descriptor, x)
-            assert heads.slot_count() == len(fd.generate_anchors(w, h))
+            assert slot_count(heads) == len(fd.generate_anchors(w, h))
 
 
 def _oracle_nms(dets, threshold):

@@ -6,6 +6,8 @@ import pytest
 from facedet import anchors as anc
 from facedet.network import forward
 
+from conftest import slot_count
+
 
 class TestTilingDensity:
     def test_default_anchor_densities(self):
@@ -148,7 +150,7 @@ class TestHeadConsistency:
     def test_head_slots_equal_anchor_count(self, descriptor, random_weights, w, h):
         x = np.random.default_rng(0).random((1, 3, h, w), dtype=np.float32)
         heads = forward(random_weights, descriptor, x)
-        assert heads.slot_count() == len(anc.generate_anchors(w, h))
+        assert slot_count(heads) == len(anc.generate_anchors(w, h))
 
     def test_grid_matches_forward_shapes(self, descriptor, random_weights):
         x = np.random.default_rng(1).random((1, 3, 480, 640), dtype=np.float32)

@@ -53,6 +53,22 @@ class TestExitCodes:
         assert main(["detect", "--model", str(model), "--out-dir", str(tmp_path), str(img)]) == 2
         assert "Conv1" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_heads_are_2(self, tmp_path, random_weights, capsys):
+        # every weight is finite, so the file loads, but a 3e38 bias overflows
+        # the trunk and the heads come out NaN or infinite
+        entries = dict(random_weights.entries)
+        w, b = entries["Conv1"]
+        entries["Conv1"] = (w, np.full_like(b, 3e38))
+        model = tmp_path / "huge.fbxw"
+        save_weights(ModelWeights(entries, random_weights.descriptor_fingerprint), model)
+        img = tmp_path / "img.ppm"
+        write_test_ppm(img)
+        out_dir = tmp_path / "out"
+        assert main(["detect", "--model", str(model), "--out-dir", str(out_dir), str(img)]) == 2
+        assert "head Inception3.loc holds NaN or infinite values" in capsys.readouterr().err
+        assert not (out_dir / "img.det.txt").exists()
+
     def test_oversized_ppm_header_is_2(self, tmp_path, model_path, capsys):
         # the header alone declares too many pixels; with no raster behind it,
         # only the cap check can name the cap, and nothing of that size is read

@@ -223,3 +223,59 @@ class TestParserFuzz:
     def test_arbitrary_text(self, text):
         _check_detections(text)
         _check_annotations(text)
+
+
+@pytest.fixture(scope="module")
+def ppm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ppm") / "fuzz.ppm"
+
+
+def _check_ppm(path, data):
+    path.write_bytes(data)
+    try:
+        img = ppm.read_ppm(path)
+    except ValueError:
+        return
+    assert img.dtype == np.float32 and img.ndim == 4 and img.shape[:2] == (1, 3)
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+# a valid header is magic, width, height and maxval, each followed by a
+# separator (whitespace, or a comment holding digits); an edit swaps one of
+# these eight parts for a bad token (sizes past the pixel cap, a 401-digit
+# and a 5000-digit number, past int()'s digit limit, malformed spellings) or
+# a bad separator (none, a comment glued to the token before it, or one the
+# file ends in)
+_PPM_SEP = st.sampled_from([" ", "\n", "\t", "\n# 9 9\n"])
+_PPM_BAD = st.sampled_from(
+    ["P3", "P6P6", "0", "-1", "65535", str(4096 * 4096 + 1), "1" + "0" * 400, "9" * 5000,
+     "x", "1.5", "+3", "", "#c\n", "# unterminated"]
+)
+
+
+class TestPpmFuzz:
+    """Any bytes either read as a (1, 3, h, w) float32 image in [0, 1] or
+    raise ValueError; no other exception escapes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.lists(_PPM_SEP, min_size=4, max_size=4),
+        st.one_of(st.none(), st.tuples(st.integers(0, 7), _PPM_BAD)),
+        st.one_of(st.just(bytes(range(108))), st.binary(max_size=120)),
+        st.one_of(st.none(), st.integers(0, 150)),
+    )
+    def test_near_valid_files(self, ppm_path, width, height, seps, edit, raster, cut):
+        """Header tokens, comments, huge declared sizes and truncation at any byte."""
+        parts = ["P6", seps[0], str(width), seps[1], str(height), seps[2], "255", seps[3]]
+        if edit:
+            parts[edit[0]] = edit[1]
+        data = "".join(parts).encode() + raster
+        _check_ppm(ppm_path, data if cut is None else data[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=80))
+    def test_arbitrary_bytes(self, ppm_path, tail):
+        _check_ppm(ppm_path, tail)
+        _check_ppm(ppm_path, b"P6 " + tail)

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facedet import network, ops
 from facedet.network import (
@@ -12,10 +14,11 @@ from facedet.network import (
     forward,
     inception_forward,
     load_weights,
-    parameter_count,
     save_weights,
     xavier_init,
 )
+
+from conftest import parameter_count
 
 # summed by hand from the per-layer widths: stem 3552 + 76864, three inception
 # blocks at 37584, trunk convs 16512 + 295168 + 32896 + 295168, six heads
@@ -270,6 +273,11 @@ class TestWeightSerialization:
         blob[off : off + 4] = (999).to_bytes(4, "little")
         self._expect_code(tmp_path, blob, "shape_mismatch", descriptor)
 
+    def test_non_utf8_entry_name(self, tmp_path, descriptor, random_weights):
+        blob = self._saved(tmp_path, random_weights)
+        blob[4 + 4 + 8 + 4] = 0xFF  # first byte of the first entry's name
+        self._expect_code(tmp_path, blob, "entry_mismatch", descriptor)
+
     def test_trailing_data(self, tmp_path, descriptor, random_weights):
         blob = self._saved(tmp_path, random_weights)
         self._expect_code(tmp_path, blob + b"junk", "trailing_data", descriptor)
@@ -290,3 +298,46 @@ class TestWeightSerialization:
         foreign = network.ModelWeights(random_weights.entries, 12345)
         with pytest.raises(ValueError, match="different descriptor"):
             forward(foreign, descriptor, np.zeros((1, 3, 128, 128), np.float32))
+
+
+@pytest.fixture(scope="module")
+def fbxw_path(tmp_path_factory, random_weights):
+    """A valid file; a path, so a failing example does not print 4 MB of bytes."""
+    path = tmp_path_factory.mktemp("fbxw") / "m.fbxw"
+    save_weights(random_weights, path)
+    return path
+
+
+def _load_or_reject(valid, edit, descriptor):
+    path = valid.with_name("damaged.fbxw")
+    path.write_bytes(edit(valid.read_bytes()))
+    try:
+        weights = load_weights(path, descriptor)
+    except WeightFormatError:
+        return
+    network.validate_weights(weights, descriptor)
+
+
+# offsets anywhere in the ~4 MB file, and often in the 41 bytes of the file
+# header and the first entry's header
+_OFFSET = st.one_of(st.integers(0, 40), st.integers(0, 2**23))
+
+
+class TestWeightFuzz:
+    """A valid file cut short or with one byte overwritten either loads as
+    weights that fit the descriptor or raises WeightFormatError."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(_OFFSET)
+    def test_truncated_anywhere(self, fbxw_path, descriptor, offset):
+        _load_or_reject(fbxw_path, lambda blob: blob[: offset % len(blob)], descriptor)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_OFFSET, st.integers(0, 255))
+    def test_byte_overwritten_anywhere(self, fbxw_path, descriptor, offset, value):
+        def overwrite(blob):
+            damaged = bytearray(blob)
+            damaged[offset % len(blob)] = value
+            return bytes(damaged)
+
+        _load_or_reject(fbxw_path, overwrite, descriptor)

