@@ -7,15 +7,7 @@ detection heads; target assignment, NMS post-processing, augmentation, and
 PR/ROC evaluation.
 """
 
-from .anchors import (
-    AnchorLayerConfig,
-    AnchorSet,
-    default_anchor_configs,
-    densified_centers,
-    feature_map_size,
-    generate_anchors,
-    tiling_density,
-)
+from .anchors import AnchorSet, generate_anchors
 from .augment import AugmentConfig, Sample, augment_pipeline
 from .evaluate import (
     EvalResult,
@@ -40,15 +32,11 @@ from .network import (
 )
 from .postprocess import PostprocessConfig, decode_all, nms, run_postprocess
 from .targets import (
-    EncodeVariances,
     TrainingTargets,
-    decode_box,
     decode_boxes,
     detection_loss,
-    encode_box,
     encode_boxes,
     hard_negative_mine,
-    jaccard,
     match_anchors,
     pairwise_jaccard,
 )
@@ -56,10 +44,8 @@ from .targets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorLayerConfig",
     "AnchorSet",
     "AugmentConfig",
-    "EncodeVariances",
     "EvalResult",
     "GroundTruthSet",
     "HeadOutputs",
@@ -72,21 +58,15 @@ __all__ = [
     "augment_pipeline",
     "build_network",
     "decode_all",
-    "decode_box",
     "decode_boxes",
-    "default_anchor_configs",
     "default_descriptor",
-    "densified_centers",
     "detection_loss",
-    "encode_box",
     "encode_boxes",
     "evaluate_detections",
-    "feature_map_size",
     "forward",
     "generate_anchors",
     "hard_negative_mine",
     "inception_forward",
-    "jaccard",
     "load_weights",
     "match_anchors",
     "match_detections",
@@ -95,7 +75,6 @@ __all__ = [
     "precision_recall",
     "run_postprocess",
     "save_weights",
-    "tiling_density",
     "tpr_at_fp",
     "xavier_init",
 ]

@@ -56,7 +56,10 @@ def _parse_mean(text: str) -> np.ndarray:
 
 def _parse_size(text: str) -> tuple[int, int]:
     w, _, h = text.partition("x")
-    return int(w), int(h)
+    size = int(w), int(h)
+    if min(size) < 1:
+        raise argparse.ArgumentTypeError(f"sides must be at least 1, got {text!r}")
+    return size
 
 
 def _postprocess_config(args) -> PostprocessConfig:
@@ -135,10 +138,10 @@ def cmd_augment(args) -> int:
     cfg = AugmentConfig(target_size=args.target_size)
     rng = np.random.default_rng(args.seed)
     out = augment_pipeline(Sample(image, boxes, source_id=str(args.image)), rng, cfg)
-    ppm.write_ppm(args.out_image, out.image)
     ann = formats.format_annotations(
         [formats.AnnotatedImage(str(args.out_image), out.width, out.height, out.boxes)]
     )
+    ppm.write_ppm(args.out_image, out.image)
     _write_text(args.out_ann, ann)
     return EXIT_OK
 
@@ -180,6 +183,8 @@ def _detect_image(weights, descriptor, x, anchors_for, cfg):
 
 
 def cmd_detect(args) -> int:
+    if args.resize:
+        check_input_pixels(args.resize[1], args.resize[0])  # before any image is resized
     out_dir = Path(args.out_dir)
     inputs: dict[Path, str] = {}
     for path in args.images:
@@ -203,10 +208,10 @@ def cmd_detect(args) -> int:
         if resize:
             image = resize_bilinear(image, resize[1], resize[0])
         used_h, used_w = image.shape[2], image.shape[3]
-        x = image - mean
+        image -= mean  # in place: no second image-sized array lives through forward
         load_ms = (time.perf_counter() - t0) * 1e3
         rows, stats, forward_ms, postprocess_ms = _detect_image(
-            weights, descriptor, x, anchors_for, cfg
+            weights, descriptor, image, anchors_for, cfg
         )
         t1 = time.perf_counter()
         if resize:

@@ -6,7 +6,8 @@ Annotations: blank-line separated blocks of
 Detections: per image a header `image <path> w <w> h <h> count <n>` followed
 by `x_min y_min x_max y_max score` lines with six decimals.  On both sides a
 block's detections are one (k, 5) float64 array of such rows.
-Paths are single whitespace-free tokens.  The parsers raise ValueError on
+Paths are single whitespace-free tokens; the formatters raise ValueError
+naming any other path.  The parsers raise ValueError on
 malformed text.  The error quotes the offending line for a non-finite value,
 an annotation image size outside 1..MAX_INPUT_PIXELS, and a face that no
 detection could ever match (empty, inverted or wholly outside its image); a
@@ -51,6 +52,12 @@ def _blocks(text: str) -> list[list[str]]:
     return blocks
 
 
+def _path_token(path: str) -> str:
+    if path.split() != [path]:
+        raise ValueError(f"path {path!r} is not a single whitespace-free token")
+    return path
+
+
 def _reject(bad: np.ndarray, lines: list[str], what: str) -> None:
     """Raise for the first line whose row is flagged in `bad`."""
     if bad.any():
@@ -92,7 +99,7 @@ def parse_annotations(text: str) -> list[AnnotatedImage]:
 def format_annotations(items) -> str:
     chunks = []
     for item in items:
-        lines = [f"image {item.path} {item.width} {item.height}"]
+        lines = [f"image {_path_token(item.path)} {item.width} {item.height}"]
         for box in np.asarray(item.boxes).reshape(-1, 4):
             lines.append(f"face {box[0]:.2f} {box[1]:.2f} {box[2]:.2f} {box[3]:.2f}")
         chunks.append("\n".join(lines))
@@ -125,7 +132,7 @@ def parse_detections(text: str) -> list[DetectionBlock]:
 def format_detections(path: str, width: int, height: int, rows) -> str:
     """One detection block from (k, 5) `x_min y_min x_max y_max score` rows."""
     rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
-    lines = [f"image {path} w {width} h {height} count {len(rows)}"]
+    lines = [f"image {_path_token(path)} w {width} h {height} count {len(rows)}"]
     for x0, y0, x1, y1, score in rows.tolist():
         lines.append(f"{x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f} {score:.6f}")
     return "\n".join(lines) + "\n"

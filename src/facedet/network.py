@@ -24,8 +24,15 @@ from . import ops
 from .ops import ConvParams
 
 INPUT_NAME = "image"
-ANCHOR_SOURCES = ("Inception3", "Conv3_2", "Conv4_2")
-ANCHORS_PER_CELL = {"Inception3": 21, "Conv3_2": 1, "Conv4_2": 1}
+# the anchor layout, stated once: per source layer, its square (scale px,
+# densify n) pairs.  A cell holds sum(n^2) anchors; build_network sizes the
+# heads from this table and generate_anchors tiles it.
+ANCHOR_SCALES = {
+    "Inception3": ((32, 4), (64, 2), (128, 1)),
+    "Conv3_2": ((256, 1),),
+    "Conv4_2": ((512, 1),),
+}
+ANCHOR_SOURCES = tuple(ANCHOR_SCALES)
 MIN_INPUT_SIZE = 128  # below this the stride-128 grid carries no useful signal
 # at 4096x4096, forward holds ~0.4 GB: the 201 MB input, Conv1's 101 MB output,
 # and Pool1's output and temporaries
@@ -159,7 +166,7 @@ class NetworkDescriptor:
 
 def build_network() -> NetworkDescriptor:
     """Assemble the standard detector graph (strides 32/64/128 at the anchor
-    sources, 21/1/1 anchors per cell)."""
+    sources, anchors per cell from ANCHOR_SCALES)."""
     layers: list[LayerSpec] = []
 
     def conv(name, src, in_c, out_c, k, s, relu):
@@ -190,8 +197,8 @@ def build_network() -> NetworkDescriptor:
     conv("Conv4_1", "Conv3_2", 256, 128, 1, 1, relu=True)
     conv("Conv4_2", "Conv4_1", 128, 256, 3, 2, relu=True)
 
-    for src in ANCHOR_SOURCES:
-        a = ANCHORS_PER_CELL[src]
+    for src, scales in ANCHOR_SCALES.items():
+        a = sum(n * n for _, n in scales)
         in_c = 128 if src == "Inception3" else 256
         for suffix, out_c in (("loc", 4 * a), ("conf", 2 * a)):
             layers.append(
@@ -200,13 +207,7 @@ def build_network() -> NetworkDescriptor:
                 )
             )
 
-    descriptor = NetworkDescriptor(tuple(layers), ANCHOR_SOURCES)
-    strides = descriptor.cumulative_strides()
-    expected = dict(zip(ANCHOR_SOURCES, (32, 64, 128)))
-    for src, want in expected.items():
-        if strides[src] != want:
-            raise AssertionError(f"stride at {src} is {strides[src]}, expected {want}")
-    return descriptor
+    return NetworkDescriptor(tuple(layers), ANCHOR_SOURCES)
 
 
 @lru_cache(maxsize=1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .anchors import AnchorSet
 from .network import HeadOutputs
-from .targets import EncodeVariances, decode_boxes, pairwise_jaccard
+from .targets import SIZE_VARIANCE, decode_boxes, pairwise_jaccard
 
 # largest log size ratio decode accepts (torchvision's bbox_xform_clip): a box
 # grows at most 62.5x its anchor, so exp cannot overflow into inf boxes
@@ -64,7 +64,7 @@ def decode_all(heads: HeadOutputs, anchor_set: AnchorSet) -> tuple[np.ndarray, n
     loc, conf = flatten_heads(heads)
     if loc.shape[0] != len(anchor_set):
         raise ValueError(f"heads predict {loc.shape[0]} slots but {len(anchor_set)} anchors exist")
-    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / EncodeVariances().size)
+    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / SIZE_VARIANCE)
     boxes = decode_boxes(anchor_set.center_sizes(), loc).astype(np.float32)
     shifted = conf - conf.max(axis=1, keepdims=True)
     e = np.exp(shifted)

@@ -17,18 +17,9 @@ from .anchors import AnchorSet
 
 MATCH_THRESHOLD = 0.35
 NEGATIVES_PER_POSITIVE = 3
-
-
-@dataclass(frozen=True)
-class EncodeVariances:
-    """Scaling of encoded offsets: centers divided by `center`, log sizes by `size`."""
-
-    center: float = 0.1
-    size: float = 0.2
-
-    def __post_init__(self):
-        if self.center <= 0 or self.size <= 0:
-            raise ValueError(f"variances must be positive, got {self.center}, {self.size}")
+# divisors of the encoded center and log-size offsets
+CENTER_VARIANCE = 0.1
+SIZE_VARIANCE = 0.2
 
 
 @dataclass
@@ -82,15 +73,10 @@ def pairwise_jaccard(boxes_a, boxes_b) -> np.ndarray:
     return iou
 
 
-def jaccard(a, b) -> float:
-    """Intersection over union of two corner boxes."""
-    return float(pairwise_jaccard([a], [b])[0, 0])
-
-
-def encode_boxes(anchors_cs, gt_corner, variances: EncodeVariances = EncodeVariances()) -> np.ndarray:
+def encode_boxes(anchors_cs, gt_corner) -> np.ndarray:
     """Offsets (tx, ty, tw, th) of ground-truth corner boxes against (cx, cy,
-    side) anchors: center deltas over the anchor side scaled by 1/center
-    variance, log size ratios scaled by 1/size variance."""
+    side) anchors: center deltas over the anchor side divided by
+    CENTER_VARIANCE, log size ratios divided by SIZE_VARIANCE."""
     a = np.asarray(anchors_cs, dtype=np.float64).reshape(-1, 3)
     g = np.asarray(gt_corner, dtype=np.float64).reshape(-1, 4)
     if np.any(a[:, 2] <= 0):
@@ -104,34 +90,25 @@ def encode_boxes(anchors_cs, gt_corner, variances: EncodeVariances = EncodeVaria
     side = a[:, 2]
     return np.stack(
         [
-            (gx - a[:, 0]) / side / variances.center,
-            (gy - a[:, 1]) / side / variances.center,
-            np.log(gw / side) / variances.size,
-            np.log(gh / side) / variances.size,
+            (gx - a[:, 0]) / side / CENTER_VARIANCE,
+            (gy - a[:, 1]) / side / CENTER_VARIANCE,
+            np.log(gw / side) / SIZE_VARIANCE,
+            np.log(gh / side) / SIZE_VARIANCE,
         ],
         axis=1,
     )
 
 
-def decode_boxes(anchors_cs, offsets, variances: EncodeVariances = EncodeVariances()) -> np.ndarray:
+def decode_boxes(anchors_cs, offsets) -> np.ndarray:
     """Exact inverse of encode_boxes; returns corner boxes."""
     a = np.asarray(anchors_cs, dtype=np.float64).reshape(-1, 3)
     t = np.asarray(offsets, dtype=np.float64).reshape(-1, 4)
     side = a[:, 2]
-    gx = a[:, 0] + t[:, 0] * variances.center * side
-    gy = a[:, 1] + t[:, 1] * variances.center * side
-    gw = side * np.exp(t[:, 2] * variances.size)
-    gh = side * np.exp(t[:, 3] * variances.size)
+    gx = a[:, 0] + t[:, 0] * CENTER_VARIANCE * side
+    gy = a[:, 1] + t[:, 1] * CENTER_VARIANCE * side
+    gw = side * np.exp(t[:, 2] * SIZE_VARIANCE)
+    gh = side * np.exp(t[:, 3] * SIZE_VARIANCE)
     return np.stack([gx - gw / 2, gy - gh / 2, gx + gw / 2, gy + gh / 2], axis=1)
-
-
-def encode_box(anchor, gt, variances: EncodeVariances = EncodeVariances()) -> np.ndarray:
-    """Single (cx, cy, side) anchor against a single corner box."""
-    return encode_boxes([anchor], [gt], variances)[0]
-
-
-def decode_box(anchor, offsets, variances: EncodeVariances = EncodeVariances()) -> np.ndarray:
-    return decode_boxes([anchor], [offsets], variances)[0]
 
 
 def _anchor_center_sizes(anchors) -> np.ndarray:
@@ -140,12 +117,7 @@ def _anchor_center_sizes(anchors) -> np.ndarray:
     return np.asarray(anchors, dtype=np.float64).reshape(-1, 3)
 
 
-def match_anchors(
-    anchors,
-    gt_boxes,
-    threshold: float = MATCH_THRESHOLD,
-    variances: EncodeVariances = EncodeVariances(),
-) -> TrainingTargets:
+def match_anchors(anchors, gt_boxes, threshold: float = MATCH_THRESHOLD) -> TrainingTargets:
     """Two-stage matching.
 
     Stage 1: faces in input order each claim their argmax-overlap anchor among
@@ -182,7 +154,7 @@ def match_anchors(
 
         pos = np.flatnonzero(labels)
         if pos.size:
-            offsets[pos] = encode_boxes(cs[pos], gt[gt_index[pos]], variances).astype(np.float32)
+            offsets[pos] = encode_boxes(cs[pos], gt[gt_index[pos]]).astype(np.float32)
     return TrainingTargets(labels, gt_index, offsets, np.zeros(n, dtype=bool))
 
 

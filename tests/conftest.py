@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from facedet.anchors import AnchorSet
 from facedet.network import ModelWeights, default_descriptor, xavier_init
+from facedet.targets import decode_boxes, encode_boxes, pairwise_jaccard
 
 DEFAULT_MEAN = np.array([0.4078, 0.4588, 0.4824], dtype=np.float32).reshape(1, 3, 1, 1)
 
@@ -27,6 +31,62 @@ def slot_count(heads) -> int:
         _, c4, h, w = heads.loc[src].shape
         total += h * w * (c4 // 4)
     return total
+
+
+def tiling_density(scale, interval) -> Fraction:
+    """scale / interval, kept exact."""
+    if interval <= 0:
+        raise ValueError(f"tiling interval must be positive, got {interval}")
+    return Fraction(scale) / Fraction(interval)
+
+
+def densified_centers(cell_row: int, cell_col: int, stride: int, n: int) -> np.ndarray:
+    """The n^2 (cx, cy) anchor centers for one cell, row-major.
+
+    Offsets are (i + 0.5) * stride / n, so the sub-grid is symmetric about the
+    cell center with spacing stride / n; n = 1 degenerates to the cell center.
+    """
+    if n < 1:
+        raise ValueError(f"densification factor must be >= 1, got {n}")
+    offsets = (np.arange(n, dtype=np.float64) + 0.5) * (stride / n)
+    grid = np.empty((n, n, 2), dtype=np.float64)
+    grid[..., 0] = cell_col * stride + offsets[None, :]
+    grid[..., 1] = cell_row * stride + offsets[:, None]
+    return grid.reshape(n * n, 2)
+
+
+def jaccard(a, b) -> float:
+    """Intersection over union of two corner boxes."""
+    return float(pairwise_jaccard([a], [b])[0, 0])
+
+
+def encode_box(anchor, gt) -> np.ndarray:
+    """Single (cx, cy, side) anchor against a single corner box."""
+    return encode_boxes([anchor], [gt])[0]
+
+
+def decode_box(anchor, offsets) -> np.ndarray:
+    return decode_boxes([anchor], [offsets])[0]
+
+
+def grid_anchors(image_w: int, image_h: int, stride: int, side: int) -> AnchorSet:
+    """One `side` px anchor at the center of every stride x stride cell
+    covering the image, cells row-major: a one-layer set for heads built by
+    hand."""
+    rows, cols = math.ceil(image_h / stride), math.ceil(image_w / stride)
+    rr, cc = np.divmod(np.arange(rows * cols, dtype=np.int32), np.int32(cols))
+    zeros = np.zeros(rows * cols, np.int32)
+    return AnchorSet(
+        image_w=image_w,
+        image_h=image_h,
+        cx=((cc + 0.5) * stride).astype(np.float32),
+        cy=((rr + 0.5) * stride).astype(np.float32),
+        side=np.full(rows * cols, side, np.float32),
+        layer_index=zeros,
+        row=rr,
+        col=cc,
+        sub_index=zeros,
+    )
 
 
 @pytest.fixture(scope="session")

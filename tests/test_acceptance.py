@@ -4,6 +4,7 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`."""
 import math
 import os
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,18 @@ import facedet as fd
 from facedet import ops
 from facedet.cli import main
 from facedet.formats import parse_detections
-from facedet.network import save_weights
-from facedet.targets import jaccard, softmax_cross_entropy
+from facedet.network import ANCHOR_SCALES, save_weights
+from facedet.targets import softmax_cross_entropy
 
-from conftest import DEFAULT_MEAN, Det, build_smoke_weights, slot_count, tent_blob_image
+from conftest import (
+    DEFAULT_MEAN,
+    Det,
+    build_smoke_weights,
+    jaccard,
+    slot_count,
+    tent_blob_image,
+    tiling_density,
+)
 from naive_ops import conv2d_naive
 from test_targets import brute_force_match, dense_instance, random_instance
 
@@ -52,13 +61,18 @@ def test_01_anchor_counts():
         assert time.perf_counter() - start < 1.0
 
 
-def test_02_density_uniformity():
+def test_02_density_uniformity(descriptor):
     with _Reporter(2, "densities (1, 2, 4, 4, 4) raw; exactly 4 for all five after densification"):
         raw = [(32, 32), (64, 32), (128, 32), (256, 64), (512, 128)]
-        assert [fd.tiling_density(s, i) for s, i in raw] == [1, 2, 4, 4, 4]
+        assert [tiling_density(s, i) for s, i in raw] == [1, 2, 4, 4, 4]
         densified = [(32, 32, 4), (64, 32, 2), (128, 32, 1), (256, 64, 1), (512, 128, 1)]
         for scale, interval, n in densified:
-            assert fd.tiling_density(scale, interval / n) == 4
+            assert tiling_density(scale, interval / n) == 4
+        # the table the heads and anchors are built from, at the graph's strides
+        strides = descriptor.cumulative_strides()
+        for layer, scales in ANCHOR_SCALES.items():
+            for scale, n in scales:
+                assert tiling_density(scale, Fraction(strides[layer], n)) == 4
 
 
 def test_03_stride_chain(descriptor, random_weights):

@@ -1,11 +1,13 @@
+import hashlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facedet import formats, network, ppm
+from facedet import cli, formats, network, ppm
 from facedet.cli import main
 from facedet.network import ModelWeights, save_weights
 
@@ -106,6 +108,27 @@ class TestExitCodes:
     def test_help_is_0(self):
         assert main(["--help"]) == 0
 
+    def test_zero_resize_side_is_usage_error(self, capsys):
+        assert main(["detect", "--model", "m", "--resize", "0x480", "img.ppm"]) == 1
+        assert "--resize" in capsys.readouterr().err
+
+    def test_over_cap_resize_rejected_before_resizing(
+        self, tmp_path, model_path, monkeypatch, capsys
+    ):
+        resized = []
+        monkeypatch.setattr(cli, "resize_bilinear", lambda *args: resized.append(args))
+        img = tmp_path / "img.ppm"
+        write_test_ppm(img)
+        out_dir = tmp_path / "out"
+        code = main(
+            ["detect", "--model", model_path, "--out-dir", str(out_dir),
+             "--resize", "4097x4096", str(img)]
+        )
+        assert code == 2
+        assert resized == []
+        assert "4097x4096" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestAnchorsCommand:
     def test_vga_header_count(self, tmp_path):
@@ -135,6 +158,44 @@ class TestInitWeightsCommand:
         main(["init-weights", "--seed", "1", "--out", str(a)])
         main(["init-weights", "--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+GOLDEN_ANNOTATIONS = """image a.ppm 640 480
+face 100 120 180 200
+face 300 50 560 310
+
+image b.ppm 1024 1024
+face 10 10 40 40
+face 500 500 900 950
+face 700 100 760 170
+"""
+
+
+class TestGoldenText:
+    """Pinned sha256 of whole CLI outputs: anchor tiling, matching and box
+    coding must keep every byte through any refactor."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["anchors", "640", "480"],
+             "7bdb39528d142c2cc8e9bf90da25a2fb3db5037c0413630e213aca1bfacc0e2d"),
+            (["anchors", "999", "517"],
+             "d209632b8be891a7cd55828e87b0b4b540cf6fa23e28828c70e576b9f9b78199"),
+            (["targets", "--index", "0"],
+             "c870cebfb60330048a324b1435ccba9ee552e0aa4f723c5e8c4abb4868fdd3ac"),
+            (["targets", "--index", "1"],
+             "42caf58aadda14d2bc97cd777497b738cbe09d7b18c70f719ed603aaa86b30bc"),
+        ],
+    )
+    def test_output_digest(self, tmp_path, argv, digest):
+        if argv[0] == "targets":
+            ann = tmp_path / "ann.txt"
+            ann.write_text(GOLDEN_ANNOTATIONS)
+            argv = [*argv, "--ann", str(ann)]
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDetectCommand:
@@ -207,6 +268,38 @@ class TestDetectCommand:
         for x0, _, x1, _, _ in blocks[0].rows:
             assert 0 <= x0 <= x1 <= 256
 
+    @pytest.mark.parametrize("folder,name", [("sp ace", "a b.ppm"), ("new\nline", "x.ppm")])
+    def test_whitespace_path_rejected(self, tmp_path, model_path, capsys, folder, name):
+        # a header with such a path could not be parsed back, so none is written
+        (tmp_path / folder).mkdir()
+        img = tmp_path / folder / name
+        write_test_ppm(img)
+        out_dir = tmp_path / "out"
+        assert main(["detect", "--model", model_path, "--out-dir", str(out_dir), str(img)]) == 2
+        assert repr(str(img)) in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_forward_holds_one_image_copy(self, tmp_path, model_path, monkeypatch):
+        # the mean is subtracted in place, so forward's input is the only
+        # image-sized array alive; weights add about a third of an image
+        img = tmp_path / "big.ppm"
+        write_test_ppm(img, size=1024)
+        held = []
+
+        def stop(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise ValueError("stopped at forward")
+
+        monkeypatch.setattr(cli, "forward", stop)
+        tracemalloc.start()
+        try:
+            code = main(["detect", "--model", model_path, "--out-dir", str(tmp_path), str(img)])
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and len(held) == 1
+        image_bytes = 3 * 1024 * 1024 * 4
+        assert held[0] < 1.6 * image_bytes, f"{held[0] / image_bytes:.2f} images held"
+
     def test_verbose_reports_counters(self, tmp_path, model_path, capsys):
         img = tmp_path / "img.ppm"
         write_test_ppm(img)
@@ -270,6 +363,15 @@ class TestAugmentCommand:
                   "--out-image", str(out_img), "--out-ann", str(tmp_path / f"{name}.txt")])
             outs.append(out_img.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_whitespace_out_image_rejected(self, tmp_path, capsys):
+        img = tmp_path / "in.ppm"
+        write_test_ppm(img, size=128)
+        out_img = tmp_path / "o ut.ppm"
+        assert main(["augment", "--image", str(img), "--target-size", "128",
+                     "--out-image", str(out_img)]) == 2
+        assert repr(str(out_img)) in capsys.readouterr().err
+        assert not out_img.exists()
 
     def test_size_mismatch_rejected(self, tmp_path):
         img = tmp_path / "in.ppm"

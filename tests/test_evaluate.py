@@ -4,9 +4,7 @@ import pytest
 from facedet import evaluate as ev
 from facedet import formats
 from facedet.cli import main
-from facedet.targets import jaccard
-
-from conftest import Det
+from conftest import Det, jaccard
 
 
 def det(x0, y0, x1, y1, score):

@@ -19,6 +19,12 @@ class TestAnnotations:
         np.testing.assert_allclose(back[0].boxes, [[1, 2, 30, 40.5]])
         assert back[1].boxes.shape == (0, 4)
 
+    @pytest.mark.parametrize("path", ["a b.ppm", "a\nb.ppm", "a\tb.ppm", ""])
+    def test_path_with_whitespace_not_written(self, path):
+        item = formats.AnnotatedImage(path, 10, 10, np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="whitespace-free"):
+            formats.format_annotations([item])
+
     def test_blank_line_separation(self):
         text = "image a 10 10\nface 1 1 5 5\n\n\nimage b 20 20\n"
         items = formats.parse_annotations(text)
@@ -79,6 +85,11 @@ class TestDetections:
         )
         blocks = formats.parse_detections(text)
         assert [b.path for b in blocks] == ["a", "b"]
+
+    @pytest.mark.parametrize("path", ["a b.ppm", "a\nb.ppm", "a\tb.ppm", ""])
+    def test_path_with_whitespace_not_written(self, path):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            formats.format_detections(path, 10, 10, np.zeros((0, 5)))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="declares"):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from facedet import postprocess as pp
-from facedet.anchors import AnchorLayerConfig, generate_anchors
+from facedet.anchors import generate_anchors
 from facedet.network import HeadOutputs, forward
 from facedet.targets import decode_boxes
 
-from conftest import Det
+from conftest import Det, grid_anchors
 from naive_ops import softmax_pairs
 
 
@@ -126,8 +126,7 @@ class TestDecodeAll:
 
     def test_order_preserved_per_anchor(self):
         # stamp slot index into the offsets; decoded row i must use anchor i
-        cfg = [AnchorLayerConfig("L0", 64, ((64, 1),))]
-        aset = generate_anchors(256, 128, cfg)
+        aset = grid_anchors(256, 128, 64, 64)
         n = len(aset)
         loc_rows = np.zeros((n, 4), np.float32)
         loc_rows[:, 0] = np.arange(n) * 0.01
@@ -139,16 +138,14 @@ class TestDecodeAll:
         np.testing.assert_allclose(boxes, want, rtol=1e-5)
 
     def test_count_mismatch_rejected(self):
-        cfg = [AnchorLayerConfig("L0", 64, ((64, 1),))]
-        aset = generate_anchors(256, 128, cfg)
+        aset = grid_anchors(256, 128, 64, 64)
         loc = np.zeros((1, 4, 2, 3), np.float32)  # 6 slots, 8 anchors
         conf = np.zeros((1, 2, 2, 3), np.float32)
         with pytest.raises(ValueError, match="anchors"):
             pp.decode_all(single_layer_heads(loc, conf), aset)
 
     def test_scores_agree_with_softmax_pairs(self):
-        cfg = [AnchorLayerConfig("L0", 32, ((32, 1),))]
-        aset = generate_anchors(256, 256, cfg)
+        aset = grid_anchors(256, 256, 32, 32)
         rng = np.random.default_rng(8)
         conf = rng.standard_normal((1, 2, 8, 8)).astype(np.float32)
         loc = np.zeros((1, 4, 8, 8), np.float32)
@@ -199,10 +196,8 @@ def grid_heads(face_logits, grid=(32, 32)):
 
 class TestRunPostprocess:
     # disjoint 16 px anchors at stride 32: suppression-free cap checks
-    CFG = [AnchorLayerConfig("cells", 32, ((16, 1),))]
-
     def _anchors(self):
-        return generate_anchors(1024, 1024, self.CFG)
+        return grid_anchors(1024, 1024, 32, 16)
 
     def test_all_below_threshold_empty(self):
         heads = grid_heads(np.full((32, 32), -10.0, np.float32))
@@ -255,8 +250,7 @@ class TestRunPostprocess:
 
     def test_boxes_clipped_only_after_nms(self):
         # a border anchor decodes outside the image; the output must be clipped
-        cfg = [AnchorLayerConfig("cells", 32, ((64, 1),))]
-        aset = generate_anchors(1024, 1024, cfg)
+        aset = grid_anchors(1024, 1024, 32, 64)
         logits = np.full((32, 32), -20.0, np.float32)
         logits[0, 0] = 6.0
         rows, _ = pp.run_postprocess(grid_heads(logits), aset)

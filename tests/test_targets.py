@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from facedet import targets as tg
-from facedet.targets import EncodeVariances, TrainingTargets
+from facedet.targets import TrainingTargets
+
+from conftest import decode_box, encode_box, jaccard
 
 
 def brute_force_match(anchor_corners, gt_boxes, threshold):
@@ -18,7 +20,7 @@ def brute_force_match(anchor_corners, gt_boxes, threshold):
         for a in range(n):
             if claimed[a]:
                 continue
-            iou = tg.jaccard(anchor_corners[a], gt_boxes[f])
+            iou = jaccard(anchor_corners[a], gt_boxes[f])
             if iou > best_iou:
                 best, best_iou = a, iou
         if best >= 0:
@@ -30,7 +32,7 @@ def brute_force_match(anchor_corners, gt_boxes, threshold):
             continue
         best, best_iou = 0, -1.0
         for f in range(m):
-            iou = tg.jaccard(anchor_corners[a], gt_boxes[f])
+            iou = jaccard(anchor_corners[a], gt_boxes[f])
             if iou > best_iou:
                 best, best_iou = f, iou
         if best_iou > threshold:
@@ -74,16 +76,16 @@ def random_instance(rng, max_anchors=20, max_faces=5, field=100.0):
 
 class TestJaccard:
     def test_identity(self):
-        assert tg.jaccard([1, 2, 5, 9], [1, 2, 5, 9]) == 1.0
+        assert jaccard([1, 2, 5, 9], [1, 2, 5, 9]) == 1.0
 
     def test_disjoint(self):
-        assert tg.jaccard([0, 0, 1, 1], [5, 5, 6, 6]) == 0.0
+        assert jaccard([0, 0, 1, 1], [5, 5, 6, 6]) == 0.0
 
     def test_quarter_overlap(self):
-        assert tg.jaccard([0, 0, 2, 2], [1, 1, 3, 3]) == pytest.approx(1 / 7)
+        assert jaccard([0, 0, 2, 2], [1, 1, 3, 3]) == pytest.approx(1 / 7)
 
     def test_zero_union_is_zero(self):
-        assert tg.jaccard([0, 0, 0, 0], [0, 0, 0, 0]) == 0.0
+        assert jaccard([0, 0, 0, 0], [0, 0, 0, 0]) == 0.0
 
     def test_against_rasterized_oracle(self):
         rng = np.random.default_rng(0)
@@ -100,7 +102,7 @@ class TestJaccard:
             mask_a[box_a[1] : box_a[3], box_a[0] : box_a[2]] = True
             mask_b[box_b[1] : box_b[3], box_b[0] : box_b[2]] = True
             want = (mask_a & mask_b).sum() / (mask_a | mask_b).sum()
-            assert tg.jaccard(box_a, box_b) == pytest.approx(want)
+            assert jaccard(box_a, box_b) == pytest.approx(want)
 
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -111,7 +113,7 @@ class TestJaccard:
         matrix = tg.pairwise_jaccard(boxes_a, boxes_b)
         for i in range(6):
             for j in range(4):
-                assert matrix[i, j] == pytest.approx(tg.jaccard(boxes_a[i], boxes_b[j]))
+                assert matrix[i, j] == pytest.approx(jaccard(boxes_a[i], boxes_b[j]))
 
 
 class TestMatchAnchors:
@@ -127,7 +129,7 @@ class TestMatchAnchors:
         # best overlap far below the 0.35 threshold: stage 1 must still claim
         anchors = [[16, 16, 32], [80, 16, 32]]
         gt = [[0, 0, 14, 14]]
-        iou = tg.jaccard([0, 0, 32, 32], gt[0])
+        iou = jaccard([0, 0, 32, 32], gt[0])
         assert iou < 0.35
         out = tg.match_anchors(anchors, gt)
         assert out.labels.tolist() == [True, False]
@@ -135,7 +137,7 @@ class TestMatchAnchors:
     def test_multiple_anchors_above_threshold(self):
         anchors = [[16, 16, 32], [24, 16, 32], [200, 200, 32]]
         gt = [[4, 0, 36, 32]]
-        ious = [tg.jaccard(c, gt[0]) for c in tg.center_size_to_corner(anchors)]
+        ious = [jaccard(c, gt[0]) for c in tg.center_size_to_corner(anchors)]
         assert ious[0] > 0.35 and ious[1] > 0.35
         out = tg.match_anchors(anchors, gt)
         assert out.labels.tolist() == [True, True, False]
@@ -185,20 +187,20 @@ class TestMatchAnchors:
 
 class TestEncodeDecode:
     def test_fixed_point(self):
-        t = tg.encode_box([16, 16, 32], [0, 0, 32, 32])
+        t = encode_box([16, 16, 32], [0, 0, 32, 32])
         np.testing.assert_allclose(t, 0, atol=1e-12)
 
     def test_known_center_shift(self):
-        t = tg.encode_box([16, 16, 32], [8, 0, 40, 32])  # center (24, 16), same size
+        t = encode_box([16, 16, 32], [8, 0, 40, 32])  # center (24, 16), same size
         np.testing.assert_allclose(t, [2.5, 0, 0, 0], atol=1e-9)
 
     def test_decode_identity(self):
-        box = tg.decode_box([16, 16, 32], [0, 0, 0, 0])
+        box = decode_box([16, 16, 32], [0, 0, 0, 0])
         np.testing.assert_allclose(box, [0, 0, 32, 32])
 
     def test_decode_doubles_width(self):
         tw = math.log(2) / 0.2
-        box = tg.decode_box([16, 16, 32], [0, 0, tw, 0])
+        box = decode_box([16, 16, 32], [0, 0, tw, 0])
         np.testing.assert_allclose(box[2] - box[0], 64, rtol=1e-9)
 
     def test_round_trip_property(self):
@@ -215,19 +217,9 @@ class TestEncodeDecode:
         back = tg.decode_boxes(anchors_cs, tg.encode_boxes(anchors_cs, gt))
         assert np.abs(back - gt).max() < 1e-4
 
-    def test_custom_variances(self):
-        v = EncodeVariances(0.2, 0.1)
-        t = tg.encode_box([16, 16, 32], [8, 0, 40, 32], v)
-        np.testing.assert_allclose(t, [1.25, 0, 0, 0], atol=1e-9)
-        np.testing.assert_allclose(tg.decode_box([16, 16, 32], t, v), [8, 0, 40, 32], atol=1e-9)
-
     def test_nonpositive_gt_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            tg.encode_box([16, 16, 32], [10, 10, 10, 20])
-
-    def test_bad_variances(self):
-        with pytest.raises(ValueError):
-            EncodeVariances(0.0, 0.2)
+            encode_box([16, 16, 32], [10, 10, 10, 20])
 
 
 def _targets(labels, losses=None):
