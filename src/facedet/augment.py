@@ -17,6 +17,13 @@ from . import ops
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64).reshape(1, 3, 1, 1)
 _COLOR_OPS = ("brightness", "contrast", "saturation")
 
+BRIGHTNESS_DELTA = 0.125
+CONTRAST_RANGE = (0.5, 1.5)
+SATURATION_RANGE = (0.5, 1.5)
+CROP_SCALE_RANGE = (0.3, 1.0)
+FLIP_PROB = 0.5
+MIN_BOX_PX = 20.0
+
 
 @dataclass
 class Sample:
@@ -42,22 +49,11 @@ class Sample:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    crop_scale_range: tuple[float, float] = (0.3, 1.0)
     target_size: int = 1024
-    flip_prob: float = 0.5
-    min_box_px: float = 20.0
-    brightness_delta: float = 0.125
-    contrast_range: tuple[float, float] = (0.5, 1.5)
-    saturation_range: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
-        lo, hi = self.crop_scale_range
-        if not 0 < lo <= hi <= 1:
-            raise ValueError(f"bad crop_scale_range {self.crop_scale_range}")
         if self.target_size < 1:
             raise ValueError(f"target_size must be positive, got {self.target_size}")
-        if not 0 <= self.flip_prob <= 1:
-            raise ValueError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
 
 
 def _luma(image: np.ndarray) -> np.ndarray:
@@ -89,23 +85,23 @@ def apply_color(image, brightness: float, contrast: float, saturation: float, or
     return img.astype(ops.DTYPE)
 
 
-def color_distort(image, rng: np.random.Generator, cfg: AugmentConfig = AugmentConfig()):
+def color_distort(image, rng: np.random.Generator):
     """Random brightness shift, contrast and saturation scaling, applied in a
     random order."""
-    brightness = rng.uniform(-cfg.brightness_delta, cfg.brightness_delta)
-    contrast = rng.uniform(*cfg.contrast_range)
-    saturation = rng.uniform(*cfg.saturation_range)
+    brightness = rng.uniform(-BRIGHTNESS_DELTA, BRIGHTNESS_DELTA)
+    contrast = rng.uniform(*CONTRAST_RANGE)
+    saturation = rng.uniform(*SATURATION_RANGE)
     order = tuple(_COLOR_OPS[i] for i in rng.permutation(3))
     return apply_color(image, brightness, contrast, saturation, order)
 
 
-def crop_candidates(height, width, rng, cfg: AugmentConfig = AugmentConfig()):
+def crop_candidates(height, width, rng):
     """Five square patches (x0, y0, side): the biggest centered square first,
-    then four with side drawn from crop_scale_range times the short side and
+    then four with side drawn from CROP_SCALE_RANGE times the short side and
     uniform placement."""
     short = min(height, width)
     candidates = [((width - short) // 2, (height - short) // 2, short)]
-    lo, hi = cfg.crop_scale_range
+    lo, hi = CROP_SCALE_RANGE
     for _ in range(4):
         side = int(round(rng.uniform(lo, hi) * short))
         side = max(1, min(side, short))
@@ -134,8 +130,8 @@ def crop_sample(sample: Sample, x0: int, y0: int, side: int) -> Sample:
     return Sample(img, kept.astype(np.float32), sample.source_id)
 
 
-def random_crop(sample: Sample, rng, cfg: AugmentConfig = AugmentConfig()) -> Sample:
-    candidates = crop_candidates(sample.height, sample.width, rng, cfg)
+def random_crop(sample: Sample, rng) -> Sample:
+    candidates = crop_candidates(sample.height, sample.width, rng)
     x0, y0, side = candidates[int(rng.integers(len(candidates)))]
     return crop_sample(sample, x0, y0, side)
 
@@ -171,7 +167,7 @@ def resize_square(sample: Sample, target: int = 1024) -> Sample:
     return Sample(img, boxes.astype(np.float32), sample.source_id)
 
 
-def hflip(sample: Sample, rng, p: float = 0.5) -> Sample:
+def hflip(sample: Sample, rng, p: float = FLIP_PROB) -> Sample:
     """Mirror the image columns with probability p; box x-ranges map to
     (w - x_max, w - x_min)."""
     if rng.random() >= p:
@@ -183,7 +179,7 @@ def hflip(sample: Sample, rng, p: float = 0.5) -> Sample:
     return Sample(img, boxes, sample.source_id)
 
 
-def filter_boxes(sample: Sample, min_px: float = 20.0) -> Sample:
+def filter_boxes(sample: Sample, min_px: float = MIN_BOX_PX) -> Sample:
     """Drop boxes narrower or shorter than min_px (strictly less than)."""
     boxes = sample.boxes
     if len(boxes):
@@ -194,8 +190,8 @@ def filter_boxes(sample: Sample, min_px: float = 20.0) -> Sample:
 
 def augment_pipeline(sample: Sample, rng, cfg: AugmentConfig = AugmentConfig()) -> Sample:
     """color_distort -> random_crop -> resize_square -> hflip -> filter_boxes."""
-    out = Sample(color_distort(sample.image, rng, cfg), sample.boxes.copy(), sample.source_id)
-    out = random_crop(out, rng, cfg)
+    out = Sample(color_distort(sample.image, rng), sample.boxes.copy(), sample.source_id)
+    out = random_crop(out, rng)
     out = resize_square(out, cfg.target_size)
-    out = hflip(out, rng, cfg.flip_prob)
-    return filter_boxes(out, cfg.min_box_px)
+    out = hflip(out, rng)
+    return filter_boxes(out)

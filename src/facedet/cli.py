@@ -225,22 +225,25 @@ def cmd_detect(args) -> int:
     failures = []
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         futures = {pool.submit(process, p, o): p for o, p in inputs.items()}
+        # a failing stdout raises out of this loop, naming no image; leaving the
+        # pool still waits for every image to be written
         for future, path in futures.items():
             try:
                 out_path, stats, times = future.result()
-                for values, ms in zip(stage_times.values(), times):
-                    values.append(ms)
-                line = f"wrote {out_path} count {stats['kept']}"
-                if args.verbose:
-                    line += (
-                        f" decoded {stats['decoded']}"
-                        f" degenerate {stats['degenerate_dropped']}"
-                        f" above_threshold {stats['above_threshold']}"
-                    )
-                print(line)
             except (OSError, ValueError, WeightFormatError) as e:
                 failures.append(path)
                 print(f"error: {path}: {e}", file=sys.stderr)
+                continue
+            for values, ms in zip(stage_times.values(), times):
+                values.append(ms)
+            line = f"wrote {out_path} count {stats['kept']}"
+            if args.verbose:
+                line += (
+                    f" decoded {stats['decoded']}"
+                    f" degenerate {stats['degenerate_dropped']}"
+                    f" above_threshold {stats['above_threshold']}"
+                )
+            print(line)
 
     for stage, values in stage_times.items():
         if values:

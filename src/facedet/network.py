@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ops
-from .ops import ConvParams
 
 INPUT_NAME = "image"
 # the anchor layout, stated once: per source layer, its square (scale px,
@@ -60,42 +59,60 @@ class WeightEntry(NamedTuple):
     shape: tuple[int, int, int, int]  # (out_ch, in_ch, kh, kw)
 
 
+LAYER_KINDS = ("conv", "pool", "crelu", "inception", "head")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
+    """One graph node reading the output of `source`.  Kernels are square and
+    padded by kernel // 2; a layer without a kernel (crelu, inception) keeps
+    its input's grid."""
+
     name: str
-    kind: str  # conv | pool | crelu | inception | head
-    inputs: tuple[str, ...]
-    params: ConvParams | None
+    kind: str  # one of LAYER_KINDS
+    source: str
     in_channels: int
     out_channels: int
+    kernel: int = 0
+    stride: int = 1
     relu: bool = False
+
+    @property
+    def padding(self) -> int:
+        return self.kernel // 2
 
 
 @dataclass(frozen=True)
 class NetworkDescriptor:
-    """Ordered, acyclic layer list plus the names of the anchor-source layers."""
+    """Ordered, acyclic layer list plus the names of the anchor-source layers.
+
+    A crelu layer is never run on its own: the pool reading it applies C.ReLU
+    after pooling, to fewer cells.  So every pool reads a crelu layer and
+    only a pool may read one, which construction checks.
+    """
 
     layers: tuple[LayerSpec, ...]
     anchor_sources: tuple[str, ...]
 
     def __post_init__(self):
-        seen = {INPUT_NAME}
+        kinds = {INPUT_NAME: "input"}
         for layer in self.layers:
-            if layer.name in seen:
+            if layer.kind not in LAYER_KINDS:
+                raise ValueError(f"layer {layer.name!r} has unknown kind {layer.kind!r}")
+            if layer.name in kinds:
                 raise ValueError(f"duplicate layer name {layer.name!r}")
-            for src in layer.inputs:
-                if src not in seen:
-                    raise ValueError(f"layer {layer.name!r} uses undefined input {src!r}")
-            seen.add(layer.name)
+            if layer.source not in kinds:
+                raise ValueError(f"layer {layer.name!r} uses undefined input {layer.source!r}")
+            if (layer.kind == "pool") != (kinds[layer.source] == "crelu"):
+                raise ValueError(
+                    f"{layer.kind} layer {layer.name!r} reads {kinds[layer.source]} layer "
+                    f"{layer.source!r}; every pool reads a crelu layer and only a pool "
+                    "may read one"
+                )
+            kinds[layer.name] = layer.kind
         for src in self.anchor_sources:
-            if src not in seen:
+            if src not in kinds:
                 raise ValueError(f"anchor source {src!r} is not a layer")
-
-    def layer(self, name: str) -> LayerSpec:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(name)
 
     def conv_entries(self) -> tuple[WeightEntry, ...]:
         """All parameterized convolutions, in serialization order; Inception
@@ -103,10 +120,8 @@ class NetworkDescriptor:
         entries = []
         for layer in self.layers:
             if layer.kind in ("conv", "head"):
-                kh, kw = layer.params.kernel
-                entries.append(
-                    WeightEntry(layer.name, (layer.out_channels, layer.in_channels, kh, kw))
-                )
+                shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
+                entries.append(WeightEntry(layer.name, shape))
             elif layer.kind == "inception":
                 for suffix, kernel, in_c, out_c in _INCEPTION_CONVS:
                     entries.append(
@@ -127,12 +142,12 @@ class NetworkDescriptor:
             )
         sizes = {INPUT_NAME: (int(height), int(width))}
         for layer in self.layers:
-            h, w = sizes[layer.inputs[0]]
-            if layer.kind in ("conv", "pool", "head"):
-                p = layer.params
+            h, w = sizes[layer.source]
+            if layer.kernel:
+                k, s, p = layer.kernel, layer.stride, layer.padding
                 try:
-                    h = ops.conv_output_size(h, p.kernel[0], p.stride, p.padding[0])
-                    w = ops.conv_output_size(w, p.kernel[1], p.stride, p.padding[1])
+                    h = ops.conv_output_size(h, k, s, p)
+                    w = ops.conv_output_size(w, k, s, p)
                 except ValueError as e:
                     raise ValueError(
                         f"input {width}x{height} is too small: layer {layer.name!r} "
@@ -144,20 +159,18 @@ class NetworkDescriptor:
     def cumulative_strides(self) -> dict[str, int]:
         strides = {INPUT_NAME: 1}
         for layer in self.layers:
-            s = strides[layer.inputs[0]]
-            if layer.kind in ("conv", "pool", "head"):
-                s *= layer.params.stride
-            strides[layer.name] = s
+            strides[layer.name] = strides[layer.source] * layer.stride
         return strides
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of the full layer graph, stored in weight files."""
         h = hashlib.blake2b(digest_size=8)
         for layer in self.layers:
-            p = layer.params
-            geom = f"{p.kernel}:{p.stride}:{p.padding}:{p.out_channels}" if p else "-"
+            # every FBXW file carries this digest, so this text must never change
+            k, s = layer.kernel, layer.stride
+            geom = f"{(k, k)}:{s}:{(k // 2, k // 2)}:{layer.out_channels}" if k else "-"
             h.update(
-                f"{layer.name};{layer.kind};{','.join(layer.inputs)};{geom};"
+                f"{layer.name};{layer.kind};{layer.source};{geom};"
                 f"{layer.in_channels};{layer.out_channels};{int(layer.relu)}\n".encode()
             )
         h.update(",".join(self.anchor_sources).encode())
@@ -170,27 +183,21 @@ def build_network() -> NetworkDescriptor:
     layers: list[LayerSpec] = []
 
     def conv(name, src, in_c, out_c, k, s, relu):
-        layers.append(
-            LayerSpec(name, "conv", (src,), ConvParams((k, k), s, out_c), in_c, out_c, relu)
-        )
+        layers.append(LayerSpec(name, "conv", src, in_c, out_c, k, s, relu))
 
     def pool(name, src, channels):
-        layers.append(
-            LayerSpec(name, "pool", (src,), ConvParams((3, 3), 2, channels), channels, channels)
-        )
+        layers.append(LayerSpec(name, "pool", src, channels, channels, 3, 2))
 
     conv("Conv1", INPUT_NAME, 3, 24, 7, 4, relu=False)
-    layers.append(LayerSpec("Conv1_crelu", "crelu", ("Conv1",), None, 24, 48))
+    layers.append(LayerSpec("Conv1_crelu", "crelu", "Conv1", 24, 48))
     pool("Pool1", "Conv1_crelu", 48)
     conv("Conv2", "Pool1", 48, 64, 5, 2, relu=False)
-    layers.append(LayerSpec("Conv2_crelu", "crelu", ("Conv2",), None, 64, 128))
+    layers.append(LayerSpec("Conv2_crelu", "crelu", "Conv2", 64, 128))
     pool("Pool2", "Conv2_crelu", 128)
 
     trunk = "Pool2"
     for name in ("Inception1", "Inception2", "Inception3"):
-        layers.append(
-            LayerSpec(name, "inception", (trunk,), None, INCEPTION_CHANNELS, INCEPTION_CHANNELS)
-        )
+        layers.append(LayerSpec(name, "inception", trunk, INCEPTION_CHANNELS, INCEPTION_CHANNELS))
         trunk = name
     conv("Conv3_1", "Inception3", 128, 128, 1, 1, relu=True)
     conv("Conv3_2", "Conv3_1", 128, 256, 3, 2, relu=True)
@@ -201,11 +208,7 @@ def build_network() -> NetworkDescriptor:
         a = sum(n * n for _, n in scales)
         in_c = 128 if src == "Inception3" else 256
         for suffix, out_c in (("loc", 4 * a), ("conf", 2 * a)):
-            layers.append(
-                LayerSpec(
-                    f"{src}.{suffix}", "head", (src,), ConvParams((3, 3), 1, out_c), in_c, out_c
-                )
-            )
+            layers.append(LayerSpec(f"{src}.{suffix}", "head", src, in_c, out_c, 3, 1))
 
     return NetworkDescriptor(tuple(layers), ANCHOR_SOURCES)
 
@@ -325,37 +328,23 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
     descriptor.spatial_sizes(image.shape[2], image.shape[3])
 
     acts: dict[str, np.ndarray] = {INPUT_NAME: image}
-    # a crelu layer is not run on its own: the pool reading it applies it after
-    # pooling, to fewer cells
-    crelu_inputs = {l.name: l.inputs[0] for l in descriptor.layers if l.kind == "crelu"}
     for layer in descriptor.layers:
+        x = acts[layer.source]
         if layer.kind == "crelu":
-            continue
-        fused = layer.inputs[0] in crelu_inputs
-        if fused and layer.kind != "pool":
-            raise ValueError(
-                f"layer {layer.name!r} reads crelu layer {layer.inputs[0]!r}; "
-                "only a pool may read a crelu layer"
-            )
-        x = acts[crelu_inputs[layer.inputs[0]] if fused else layer.inputs[0]]
-        if layer.kind in ("conv", "head"):
-            w, b = weights.entries[layer.name]
-            y = ops.conv2d(x, w, b, stride=layer.params.stride, padding=layer.params.padding)
-            if layer.relu:
-                y = ops.relu(y)
-        elif fused:
-            p = layer.params
-            y = ops.crelu_maxpool2d(x, p.kernel, p.stride, p.padding)
+            y = x  # applied by the pool that reads it
         elif layer.kind == "pool":
-            y = ops.maxpool2d(x, layer.params.kernel, layer.params.stride, layer.params.padding)
+            y = ops.crelu_maxpool2d(x, layer.kernel, layer.stride, layer.padding)
         elif layer.kind == "inception":
             branch = {
                 suffix: weights.entries[f"{layer.name}.{suffix}"]
                 for suffix, _, _, _ in _INCEPTION_CONVS
             }
             y = inception_forward(x, branch)
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
+        else:  # conv | head
+            w, b = weights.entries[layer.name]
+            y = ops.conv2d(x, w, b, stride=layer.stride, padding=layer.padding)
+            if layer.relu:
+                y = ops.relu(y)
         acts[layer.name] = y
 
     loc = {src: acts[f"{src}.loc"] for src in descriptor.anchor_sources}

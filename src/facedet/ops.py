@@ -7,8 +7,6 @@ identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -27,29 +25,6 @@ def same_padding(kernel) -> tuple[int, int]:
     """floor(kernel / 2) per axis: keeps spatial size for stride 1."""
     kh, kw = _pair(kernel)
     return kh // 2, kw // 2
-
-
-@dataclass(frozen=True)
-class ConvParams:
-    """Geometry of one conv/pool layer; padding defaults to floor(kernel/2)."""
-
-    kernel: tuple[int, int]
-    stride: int
-    out_channels: int
-    padding: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "kernel", _pair(self.kernel))
-        if self.padding is None:
-            object.__setattr__(self, "padding", same_padding(self.kernel))
-        else:
-            object.__setattr__(self, "padding", _pair(self.padding))
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.out_channels < 1:
-            raise ValueError(f"out_channels must be >= 1, got {self.out_channels}")
-        if min(self.padding) < 0:
-            raise ValueError(f"padding must be >= 0, got {self.padding}")
 
 
 def as_tensor(data) -> np.ndarray:

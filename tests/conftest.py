@@ -24,6 +24,11 @@ def parameter_count(descriptor) -> int:
     return sum(co * ci * kh * kw + co for _, (co, ci, kh, kw) in descriptor.conv_entries())
 
 
+def layer(descriptor, name: str):
+    """The descriptor's LayerSpec called `name`."""
+    return next(l for l in descriptor.layers if l.name == name)
+
+
 def slot_count(heads) -> int:
     """Total anchors the heads predict for (cells x anchors-per-cell)."""
     total = 0

@@ -214,8 +214,8 @@ class TestPipeline:
             assert out.image.shape == (1, 3, 256, 256)
             assert out.image.min() >= 0 and out.image.max() <= 1
             for box in out.boxes:
-                assert box[2] - box[0] >= cfg.min_box_px
-                assert box[3] - box[1] >= cfg.min_box_px
+                assert box[2] - box[0] >= ag.MIN_BOX_PX
+                assert box[3] - box[1] >= ag.MIN_BOX_PX
                 assert 0 <= box[0] <= box[2] <= 256
                 assert 0 <= box[1] <= box[3] <= 256
 

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -172,8 +174,8 @@ face 700 100 760 170
 
 
 class TestGoldenText:
-    """Pinned sha256 of whole CLI outputs: anchor tiling, matching and box
-    coding must keep every byte through any refactor."""
+    """Pinned sha256 of whole CLI outputs: anchor tiling, matching, box
+    coding and the weight format must keep every byte through any refactor."""
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -186,6 +188,9 @@ class TestGoldenText:
              "c870cebfb60330048a324b1435ccba9ee552e0aa4f723c5e8c4abb4868fdd3ac"),
             (["targets", "--index", "1"],
              "42caf58aadda14d2bc97cd777497b738cbe09d7b18c70f719ed603aaa86b30bc"),
+            # the FBXW bytes: header, descriptor fingerprint and xavier draws
+            (["init-weights", "--seed", "0"],
+             "c91bc2609e6557cc70f8da3e257d24eeb0bdcf177d53bfec7b58136f380994e4"),
         ],
     )
     def test_output_digest(self, tmp_path, argv, digest):
@@ -299,6 +304,28 @@ class TestDetectCommand:
         assert code == 2 and len(held) == 1
         image_bytes = 3 * 1024 * 1024 * 4
         assert held[0] < 1.6 * image_bytes, f"{held[0] / image_bytes:.2f} images held"
+
+    def test_closed_stdout_fails_no_image(self, tmp_path, model_path, monkeypatch):
+        images = []
+        for i in range(3):
+            images.append(str(tmp_path / f"img{i}.ppm"))
+            write_test_ppm(images[-1], seed=i)
+        out_dir = tmp_path / "out"
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stderr = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code = main(["detect", "--model", model_path, "--out-dir", str(out_dir), *images])
+        assert code == 2
+        errors = stderr.getvalue().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:"), errors
+        assert not any(path in errors[0] for path in images)
+        for i in range(3):
+            formats.parse_detections((out_dir / f"img{i}.det.txt").read_text())
 
     def test_verbose_reports_counters(self, tmp_path, model_path, capsys):
         img = tmp_path / "img.ppm"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 
@@ -10,7 +11,6 @@ from facedet import network, ops
 from facedet.network import (
     ANCHOR_SOURCES,
     WeightFormatError,
-    build_network,
     forward,
     inception_forward,
     load_weights,
@@ -18,7 +18,7 @@ from facedet.network import (
     xavier_init,
 )
 
-from conftest import parameter_count
+from conftest import layer, parameter_count
 
 # summed by hand from the per-layer widths: stem 3552 + 76864, three inception
 # blocks at 37584, trunk convs 16512 + 295168 + 32896 + 295168, six heads
@@ -34,30 +34,33 @@ class TestDescriptor:
         assert [strides[s] for s in ANCHOR_SOURCES] == [32, 64, 128]
 
     def test_head_channels(self, descriptor):
-        assert descriptor.layer("Inception3.loc").out_channels == 84
-        assert descriptor.layer("Inception3.conf").out_channels == 42
-        assert descriptor.layer("Conv3_2.loc").out_channels == 4
-        assert descriptor.layer("Conv4_2.conf").out_channels == 2
+        assert layer(descriptor, "Inception3.loc").out_channels == 84
+        assert layer(descriptor, "Inception3.conf").out_channels == 42
+        assert layer(descriptor, "Conv3_2.loc").out_channels == 4
+        assert layer(descriptor, "Conv4_2.conf").out_channels == 2
 
     def test_trunk_channel_widths(self, descriptor):
-        assert descriptor.layer("Conv1").out_channels == 24
-        assert descriptor.layer("Conv1_crelu").out_channels == 48
-        assert descriptor.layer("Conv2").out_channels == 64
-        assert descriptor.layer("Conv2_crelu").out_channels == 128
-        assert descriptor.layer("Conv3_2").out_channels == 256
-        assert descriptor.layer("Conv4_2").out_channels == 256
+        assert layer(descriptor, "Conv1").out_channels == 24
+        assert layer(descriptor, "Conv1_crelu").out_channels == 48
+        assert layer(descriptor, "Conv2").out_channels == 64
+        assert layer(descriptor, "Conv2_crelu").out_channels == 128
+        assert layer(descriptor, "Conv3_2").out_channels == 256
+        assert layer(descriptor, "Conv4_2").out_channels == 256
 
     def test_padding_is_half_kernel_everywhere(self, descriptor):
-        for layer in descriptor.layers:
-            if layer.params is not None:
-                kh, kw = layer.params.kernel
-                assert layer.params.padding == (kh // 2, kw // 2), layer.name
+        # with kernel // 2 padding, a stride-1 layer keeps its input's grid
+        for h, w in ((128, 128), (480, 640), (517, 999), (1024, 1024)):
+            sizes = descriptor.spatial_sizes(h, w)
+            for l in descriptor.layers:
+                if l.stride == 1:
+                    assert sizes[l.name] == sizes[l.source], (l.name, h, w)
 
     def test_parameter_count(self, descriptor):
         assert parameter_count(descriptor) == PARAMETER_COUNT
 
     def test_fingerprint_stable_and_sensitive(self, descriptor):
-        assert descriptor.fingerprint() == build_network().fingerprint()
+        # every FBXW file carries this digest
+        assert descriptor.fingerprint() == 0x32FD35CCC90CB5DF
         trimmed = network.NetworkDescriptor(descriptor.layers[:-1], ("Inception3",))
         assert trimmed.fingerprint() != descriptor.fingerprint()
 
@@ -183,17 +186,58 @@ class TestForward:
             with pytest.raises(ValueError, match=f"cap of {cap} pixels"):
                 forward(random_weights, descriptor, huge)
 
+    @staticmethod
+    def _bent(descriptor, name, **changes):
+        layers = tuple(
+            dataclasses.replace(l, **changes) if l.name == name else l for l in descriptor.layers
+        )
+        return network.NetworkDescriptor(layers, descriptor.anchor_sources)
+
     def test_non_pool_reading_crelu_rejected(self, descriptor):
         # forward runs C.ReLU only inside the pool after it
-        layers = tuple(
-            network.LayerSpec(l.name, "conv", l.inputs, l.params, l.in_channels, l.out_channels)
-            if l.name == "Pool1"
-            else l
+        with pytest.raises(ValueError, match="only a pool may read one"):
+            self._bent(descriptor, "Pool1", kind="conv")
+
+    def test_pool_reading_non_crelu_rejected(self, descriptor):
+        with pytest.raises(ValueError, match="every pool reads a crelu layer"):
+            self._bent(descriptor, "Pool1", source="Conv1")
+
+    def test_unknown_layer_kind_rejected(self, descriptor):
+        with pytest.raises(ValueError, match="unknown kind 'deconv'"):
+            self._bent(descriptor, "Conv3_1", kind="deconv")
+
+    def test_calls_follow_descriptor_order(self, descriptor, random_weights, monkeypatch):
+        # a tracer assigns forward's direct conv2d and inception_forward calls
+        # to graph nodes by their position: heads loc before conf per source
+        calls, inside = [], []
+        conv2d, inception = ops.conv2d, network.inception_forward
+
+        def record_conv2d(*args, **kwargs):
+            y = conv2d(*args, **kwargs)
+            if not inside:
+                calls.append(("conv2d", y.shape))
+            return y
+
+        def record_inception(*args):
+            inside.append(True)
+            y = inception(*args)
+            inside.pop()
+            calls.append(("inception", y.shape))
+            return y
+
+        monkeypatch.setattr(ops, "conv2d", record_conv2d)
+        monkeypatch.setattr(network, "inception_forward", record_inception)
+        forward(random_weights, descriptor, np.zeros((1, 3, 160, 224), np.float32))
+        sizes = descriptor.spatial_sizes(160, 224)
+        op = {"conv": "conv2d", "head": "conv2d", "inception": "inception"}
+        want = [
+            (op[l.kind], (1, l.out_channels, *sizes[l.name]))
             for l in descriptor.layers
-        )
-        bent = network.NetworkDescriptor(layers, descriptor.anchor_sources)
-        with pytest.raises(ValueError, match="only a pool may read a crelu layer"):
-            forward(xavier_init(bent, 0), bent, np.zeros((1, 3, 128, 128), np.float32))
+            if l.kind in op
+        ]
+        assert calls == want
+        heads = [l.name for l in descriptor.layers if l.kind == "head"]
+        assert heads == [f"{s}.{part}" for s in ANCHOR_SOURCES for part in ("loc", "conf")]
 
     def test_shared_weights_across_threads(self, descriptor, random_weights):
         x = np.random.default_rng(4).random((1, 3, 160, 160), dtype=np.float32)
