@@ -153,8 +153,9 @@ def resize_bilinear(image, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    rows = img[:, :, y0, :] * (1 - fy)[None, None, :, None] + img[:, :, y1, :] * fy[None, None, :, None]
-    out = rows[:, :, :, x0] * (1 - fx) + rows[:, :, :, x1] * fx
+    # np.take keeps C order, where fancy indexing would hand back a transposed layout
+    rows = np.take(img, y0, axis=2) * (1 - fy)[:, None] + np.take(img, y1, axis=2) * fy[:, None]
+    out = np.take(rows, x0, axis=3) * (1 - fx) + np.take(rows, x1, axis=3) * fx
     return out.astype(ops.DTYPE)
 
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import statistics
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -83,6 +85,21 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomic(path: Path, text: str, mode: int) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`,
+    so a failed or interrupted write leaves neither a truncated file nor the
+    temp file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        os.fchmod(fd, mode)
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_init_weights(args) -> int:
@@ -200,6 +217,9 @@ def cmd_detect(args) -> int:
     resize = args.resize
     out_dir.mkdir(parents=True, exist_ok=True)
     anchors_for = functools.cache(generate_anchors)
+    umask = os.umask(0)  # read once, before the workers start: there is no getter
+    os.umask(umask)
+    file_mode = 0o666 & ~umask  # what a plain open() would create
 
     def process(path: str, out_path: Path):
         t0 = time.perf_counter()
@@ -217,7 +237,7 @@ def cmd_detect(args) -> int:
         if resize:
             sx, sy = orig_w / used_w, orig_h / used_h
             rows[:, :4] *= [sx, sy, sx, sy]
-        out_path.write_text(formats.format_detections(path, orig_w, orig_h, rows))
+        _write_atomic(out_path, formats.format_detections(path, orig_w, orig_h, rows), file_mode)
         write_ms = (time.perf_counter() - t1) * 1e3
         return out_path, stats, (load_ms, forward_ms, postprocess_ms, write_ms)
 

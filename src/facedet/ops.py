@@ -2,7 +2,10 @@
 
 A tensor here is a plain numpy array of shape (batch, channels, height, width),
 float32 and C-contiguous.  Every operator is pure: inputs are never mutated and
-identical inputs give bit-identical outputs.
+identical inputs give bit-identical outputs.  numpy keeps the source layout
+through `astype`, elementwise ops and fancy indexing, so a producer that starts
+from a transposed view must write into a C-ordered array (`out=`, `np.take`),
+or every later pass walks its strides and `as_tensor` copies it.
 """
 
 from __future__ import annotations

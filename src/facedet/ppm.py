@@ -1,4 +1,5 @@
-"""Binary PPM (P6, 8-bit) image IO; pixels become float32 NCHW in [0, 1].
+"""Binary PPM (P6, 8-bit) image IO; pixels become a C-contiguous float32
+(1, 3, h, w) array in [0, 1], so no later pass walks the file's HWC strides.
 
 PPM was chosen for its bit-exact, dependency-free parsing; `pnmtopng` and
 friends convert freely.
@@ -46,11 +47,12 @@ def read_ppm(path) -> np.ndarray:
     if maxval != 255:
         raise ValueError(f"only 8-bit PPM supported, maxval {maxval}")
     pos += 1  # single whitespace after maxval
-    raster = data[pos : pos + 3 * width * height]
-    if len(raster) != 3 * width * height:
+    if len(data) - pos < 3 * width * height:
         raise ValueError("truncated PPM raster")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return (pixels.transpose(2, 0, 1)[None].astype(ops.DTYPE)) / np.float32(255.0)
+    hwc = np.frombuffer(data, np.uint8, 3 * width * height, offset=pos).reshape(height, width, 3)
+    image = np.empty((1, 3, height, width), ops.DTYPE)
+    np.divide(hwc.transpose(2, 0, 1), np.float32(255.0), out=image[0], dtype=ops.DTYPE)
+    return image
 
 
 def write_ppm(path, image) -> None:

@@ -1,5 +1,6 @@
-"""Slow loop-based twins of `ops.conv2d` and `ops.maxpool2d`, and the
-pairwise channel softmax the decoded face scores are checked against.
+"""Slow loop-based twins of `ops.conv2d` and `ops.maxpool2d`, the pairwise
+channel softmax the decoded face scores are checked against, and the
+fancy-indexing bilinear resize `augment.resize_bilinear` must match bit for bit.
 
 They share no code with the fast operators beyond input coercion, argument
 parsing and the output-size formula, so the tests can use them as independent oracles.
@@ -83,3 +84,26 @@ def softmax_pairs(logits) -> np.ndarray:
     e = np.exp(shifted)
     out = e / e.sum(axis=2, keepdims=True)
     return np.ascontiguousarray(out.reshape(n, c, h, w))
+
+
+def resize_bilinear_fancy(image, out_h: int, out_w: int) -> np.ndarray:
+    """`augment.resize_bilinear` as first written, gathering with fancy
+    indexing (which returns a transposed layout).  Same float64 arithmetic in
+    the same order, so the two agree bit for bit.  Test oracle only."""
+    img = as_tensor(image)
+    n, c, h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
+    y0f = np.floor(ys)
+    x0f = np.floor(xs)
+    fy = ys - y0f
+    fx = xs - x0f
+    y0 = np.clip(y0f.astype(np.int64), 0, h - 1)
+    y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
+    x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
+    x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
+    rows = img[:, :, y0, :] * (1 - fy)[None, None, :, None] + img[:, :, y1, :] * fy[None, None, :, None]
+    out = rows[:, :, :, x0] * (1 - fx) + rows[:, :, :, x1] * fx
+    return out.astype(DTYPE)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from facedet import augment as ag
+from facedet import ops
+from naive_ops import resize_bilinear_fancy
 
 
 def checker_image(h, w, seed=0):
@@ -134,6 +136,19 @@ class TestResize:
         out = ag.resize_bilinear(img, 2, 3)
         np.testing.assert_allclose(out[0, 0, 0], [0.0, 0.5, 1.0], atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "size,out_size",
+        [((300, 300), (1024, 1024)), ((768, 768), (1024, 1024)), ((1024, 1024), (512, 512)),
+         ((480, 640), (384, 512)), ((517, 999), (700, 260)), ((64, 64), (64, 64)),
+         ((1, 1), (4, 4)), ((40, 40), (1, 1))],
+    )
+    def test_matches_fancy_index_oracle_bit_for_bit(self, size, out_size):
+        img = checker_image(*size, seed=size[0])
+        out = ag.resize_bilinear(img, *out_size)
+        expected = resize_bilinear_fancy(img, *out_size)
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+
 
 class TestHFlip:
     def test_forced_flip_mirrors_box(self):
@@ -224,6 +239,25 @@ class TestPipeline:
         out = ag.augment_pipeline(s, np.random.default_rng(1))
         assert out.boxes.shape == (0, 4)
         assert out.image.shape == (1, 3, 1024, 1024)
+
+    def test_no_stage_copies_for_layout(self, monkeypatch):
+        # every stage hands on a C-contiguous float32 array, so no as_tensor
+        # call along the pipeline (Sample, apply_color, resize) makes a copy
+        as_tensor = ops.as_tensor
+        copied = []
+
+        def watched(data):
+            out = as_tensor(data)
+            if isinstance(data, np.ndarray) and not np.shares_memory(out, data):
+                copied.append(data.strides)
+            return out
+
+        monkeypatch.setattr(ops, "as_tensor", watched)
+        for seed in range(10):
+            s = sample(300, 400, boxes=[[50, 60, 200, 210]], seed=seed)
+            out = ag.augment_pipeline(s, np.random.default_rng(seed), ag.AugmentConfig(256))
+            assert out.image.flags.c_contiguous
+        assert copied == []
 
     def test_source_id_carried(self):
         s = ag.Sample(checker_image(150, 150), np.zeros((0, 4)), source_id="img7")

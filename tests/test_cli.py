@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facedet import cli, formats, network, ppm
+from facedet import cli, formats, network, ops, ppm
 from facedet.cli import main
 from facedet.network import ModelWeights, save_weights
 
@@ -304,6 +305,69 @@ class TestDetectCommand:
         assert code == 2 and len(held) == 1
         image_bytes = 3 * 1024 * 1024 * 4
         assert held[0] < 1.6 * image_bytes, f"{held[0] / image_bytes:.2f} images held"
+
+    def test_forward_holds_one_image(self, tmp_path, model_path, monkeypatch):
+        # read_ppm hands out C-ordered NCHW, so Conv1 reads the very array
+        # detect passed to forward: no layout copy is made on the way
+        img = tmp_path / "big.ppm"
+        write_test_ppm(img, size=1024)
+        passed, at_conv1 = [], []
+        forward, conv2d = cli.forward, ops.conv2d
+
+        def record_input(weights, descriptor, image):
+            passed.append(image)
+            return forward(weights, descriptor, image)
+
+        def stop_at_conv1(x, *args, **kwargs):
+            at_conv1.append((np.shares_memory(x, passed[0]), tracemalloc.get_traced_memory()[0]))
+            raise ValueError("stopped at Conv1")
+
+        monkeypatch.setattr(cli, "forward", record_input)
+        monkeypatch.setattr(ops, "conv2d", stop_at_conv1)
+        tracemalloc.start()
+        try:
+            code = main(["detect", "--model", model_path, "--out-dir", str(tmp_path), str(img)])
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and len(at_conv1) == 1
+        shared, held = at_conv1[0]
+        assert shared, "Conv1 reads a copy of the image detect passed to forward"
+        image_bytes = 3 * 1024 * 1024 * 4
+        assert held < 1.6 * image_bytes, f"{held / image_bytes:.2f} images held"
+
+    def test_failed_write_leaves_no_file(self, tmp_path, model_path, monkeypatch, capsys):
+        # the first image's write dies halfway; neither a truncated .det.txt
+        # nor the temp file may stay behind, and the second image is unharmed
+        images = []
+        for i in range(2):
+            images.append(str(tmp_path / f"img{i}.ppm"))
+            write_test_ppm(images[-1], seed=i)
+        out_dir = tmp_path / "out"
+        fdopen = os.fdopen
+        opened = []
+
+        def failing_once(fd, *args, **kwargs):
+            f = fdopen(fd, *args, **kwargs)
+            opened.append(f)
+            if len(opened) == 1:
+                write = f.write
+
+                def dies_halfway(text):
+                    write(text[: len(text) // 2])
+                    f.flush()
+                    raise OSError(28, "No space left on device")
+
+                f.write = dies_halfway
+            return f
+
+        monkeypatch.setattr(os, "fdopen", failing_once)
+        args = ["detect", "--model", model_path, "--out-dir", str(out_dir), *images]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {images[0]}: [Errno 28] No space left on device" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["img1.det.txt"]
+        blocks = formats.parse_detections((out_dir / "img1.det.txt").read_text())
+        assert [b.path for b in blocks] == [images[1]]
 
     def test_closed_stdout_fails_no_image(self, tmp_path, model_path, monkeypatch):
         images = []

@@ -135,6 +135,26 @@ class TestPpm:
         with pytest.raises(ValueError, match="truncated"):
             ppm.read_ppm(path)
 
+    def test_rejects_file_ending_at_maxval(self, tmp_path):
+        path = tmp_path / "bare.ppm"
+        path.write_bytes(b"P6\n1 1\n255")
+        with pytest.raises(ValueError, match="truncated"):
+            ppm.read_ppm(path)
+
+    @pytest.mark.parametrize("height,width", [(1, 1), (7, 9), (517, 999), (640, 640)])
+    def test_reads_c_contiguous_nchw_bit_for_bit(self, tmp_path, height, width):
+        # the same values as the HWC raster transposed, cast and divided
+        # elementwise, laid out in C order for the first conv
+        rng = np.random.default_rng(height)
+        hwc = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        hwc.flat[: min(256, hwc.size)] = np.arange(256, dtype=np.uint8)[: hwc.size]
+        path = tmp_path / "x.ppm"
+        path.write_bytes(f"P6\n{width} {height}\n255\n".encode() + hwc.tobytes())
+        img = ppm.read_ppm(path)
+        expected = hwc.transpose(2, 0, 1)[None].astype(np.float32) / np.float32(255)
+        assert img.dtype == np.float32 and img.flags.c_contiguous
+        np.testing.assert_array_equal(img.view(np.uint32), expected.view(np.uint32))
+
     def test_write_clamps(self, tmp_path):
         img = np.full((1, 3, 2, 2), 1.7, np.float32)
         path = tmp_path / "hot.ppm"
@@ -248,6 +268,7 @@ def _check_ppm(path, data):
     except ValueError:
         return
     assert img.dtype == np.float32 and img.ndim == 4 and img.shape[:2] == (1, 3)
+    assert img.flags.c_contiguous
     assert img.min() >= 0.0 and img.max() <= 1.0
 
 
