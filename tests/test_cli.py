@@ -312,7 +312,7 @@ class TestDetectCommand:
         img = tmp_path / "big.ppm"
         write_test_ppm(img, size=1024)
         passed, at_conv1 = [], []
-        forward, conv2d = cli.forward, ops.conv2d
+        forward = cli.forward
 
         def record_input(weights, descriptor, image):
             passed.append(image)
