@@ -11,7 +11,6 @@ from .anchors import AnchorSet, generate_anchors
 from .augment import AugmentConfig, Sample, augment_pipeline
 from .evaluate import (
     EvalResult,
-    GroundTruthSet,
     evaluate_detections,
     match_detections,
     precision_recall,
@@ -47,7 +46,6 @@ __all__ = [
     "AnchorSet",
     "AugmentConfig",
     "EvalResult",
-    "GroundTruthSet",
     "HeadOutputs",
     "ModelWeights",
     "NetworkDescriptor",

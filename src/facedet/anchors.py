@@ -43,13 +43,6 @@ class AnchorSet:
         """(N, 3) array of (cx, cy, side)."""
         return np.stack([self.cx, self.cy, self.side], axis=1)
 
-    def corner_boxes(self) -> np.ndarray:
-        """(N, 4) array of (x_min, y_min, x_max, y_max)."""
-        half = self.side / 2
-        return np.stack(
-            [self.cx - half, self.cy - half, self.cx + half, self.cy + half], axis=1
-        )
-
     def to_lines(self):
         """Text form: header then `layer row col scale sub_idx cx cy side`."""
         yield f"anchors w {self.image_w} h {self.image_h} count {len(self)}"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .network import check_input_pixels
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64).reshape(1, 3, 1, 1)
 _COLOR_OPS = ("brightness", "contrast", "saturation")
@@ -54,6 +55,7 @@ class AugmentConfig:
     def __post_init__(self):
         if self.target_size < 1:
             raise ValueError(f"target_size must be positive, got {self.target_size}")
+        check_input_pixels(self.target_size, self.target_size)
 
 
 def _luma(image: np.ndarray) -> np.ndarray:
@@ -170,9 +172,9 @@ def resize_square(sample: Sample, target: int = 1024) -> Sample:
 
 def hflip(sample: Sample, rng, p: float = FLIP_PROB) -> Sample:
     """Mirror the image columns with probability p; box x-ranges map to
-    (w - x_max, w - x_min)."""
+    (w - x_max, w - x_min).  Without a flip the sample itself comes back."""
     if rng.random() >= p:
-        return Sample(sample.image.copy(), sample.boxes.copy(), sample.source_id)
+        return sample
     img = np.ascontiguousarray(sample.image[:, :, :, ::-1])
     boxes = sample.boxes.copy()
     if len(boxes):
@@ -180,13 +182,14 @@ def hflip(sample: Sample, rng, p: float = FLIP_PROB) -> Sample:
     return Sample(img, boxes, sample.source_id)
 
 
-def filter_boxes(sample: Sample, min_px: float = MIN_BOX_PX) -> Sample:
-    """Drop boxes narrower or shorter than min_px (strictly less than)."""
+def filter_boxes(sample: Sample) -> Sample:
+    """Drop boxes narrower or shorter than MIN_BOX_PX (strictly less than);
+    the image is shared, not copied."""
     boxes = sample.boxes
     if len(boxes):
-        keep = (boxes[:, 2] - boxes[:, 0] >= min_px) & (boxes[:, 3] - boxes[:, 1] >= min_px)
+        keep = (boxes[:, 2:] - boxes[:, :2] >= MIN_BOX_PX).all(axis=1)
         boxes = boxes[keep]
-    return Sample(sample.image.copy(), boxes.copy(), sample.source_id)
+    return Sample(sample.image, boxes, sample.source_id)
 
 
 def augment_pipeline(sample: Sample, rng, cfg: AugmentConfig = AugmentConfig()) -> Sample:

@@ -11,7 +11,6 @@ import functools
 import os
 import statistics
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from . import formats, ppm
 from .anchors import generate_anchors
 from .augment import AugmentConfig, Sample, augment_pipeline, resize_bilinear
-from .evaluate import GroundTruthSet, evaluate_detections
+from .evaluate import evaluate_detections
 from .network import (
     WeightFormatError,
     check_input_pixels,
@@ -87,13 +86,13 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _write_atomic(path: Path, text: str, mode: int) -> None:
+def _write_atomic(path: Path, text: str) -> None:
     """Write `text` to a temp file beside `path`, then rename it over `path`,
     so a failed or interrupted write leaves neither a truncated file nor the
-    temp file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    temp file.  The umask applies, as for a plain open()."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -139,6 +138,7 @@ def cmd_targets(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    cfg = AugmentConfig(target_size=args.target_size)  # before the image is read
     image = ppm.read_ppm(args.image)
     boxes = np.zeros((0, 4))
     if args.ann:
@@ -152,7 +152,6 @@ def cmd_augment(args) -> int:
                 f"{image.shape[3]}x{image.shape[2]}"
             )
         boxes = block.boxes
-    cfg = AugmentConfig(target_size=args.target_size)
     rng = np.random.default_rng(args.seed)
     out = augment_pipeline(Sample(image, boxes, source_id=str(args.image)), rng, cfg)
     ann = formats.format_annotations(
@@ -165,7 +164,7 @@ def cmd_augment(args) -> int:
 
 def cmd_eval(args) -> int:
     gt_blocks = formats.parse_annotations(Path(args.gt).read_text())
-    gt = GroundTruthSet.from_annotations(gt_blocks)
+    gt = {block.path: block.boxes for block in gt_blocks}
     blocks_by_image: dict[str, list[np.ndarray]] = {}
     for path in args.dets:
         for block in formats.parse_detections(Path(path).read_text()):
@@ -178,7 +177,7 @@ def cmd_eval(args) -> int:
     summary = [
         "summary",
         f"ap\t{result.average_precision:.6f}",
-        f"faces\t{gt.total_faces}",
+        f"faces\t{sum(len(b) for b in gt.values())}",
         f"detections\t{sum(len(d) for d in detections.values())}",
     ]
     summary += [f"tpr@{budget:g}\t{tpr:.6f}" for budget, tpr in result.tpr_at_fp.items()]
@@ -217,9 +216,6 @@ def cmd_detect(args) -> int:
     resize = args.resize
     out_dir.mkdir(parents=True, exist_ok=True)
     anchors_for = functools.cache(generate_anchors)
-    umask = os.umask(0)  # read once, before the workers start: there is no getter
-    os.umask(umask)
-    file_mode = 0o666 & ~umask  # what a plain open() would create
 
     def process(path: str, out_path: Path):
         t0 = time.perf_counter()
@@ -237,7 +233,7 @@ def cmd_detect(args) -> int:
         if resize:
             sx, sy = orig_w / used_w, orig_h / used_h
             rows[:, :4] *= [sx, sy, sx, sy]
-        _write_atomic(out_path, formats.format_detections(path, orig_w, orig_h, rows), file_mode)
+        _write_atomic(out_path, formats.format_detections(path, orig_w, orig_h, rows))
         write_ms = (time.perf_counter() - t1) * 1e3
         return out_path, stats, (load_ms, forward_ms, postprocess_ms, write_ms)
 

@@ -13,28 +13,6 @@ from .targets import pairwise_jaccard
 EVAL_IOU_THRESHOLD = 0.5
 
 
-@dataclass
-class GroundTruthSet:
-    """Ground-truth corner boxes keyed by image id."""
-
-    boxes_by_image: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        self.boxes_by_image = {
-            key: np.asarray(val, dtype=np.float64).reshape(-1, 4)
-            for key, val in self.boxes_by_image.items()
-        }
-
-    @property
-    def total_faces(self) -> int:
-        return sum(len(b) for b in self.boxes_by_image.values())
-
-    @classmethod
-    def from_annotations(cls, annotated) -> "GroundTruthSet":
-        """Build from objects carrying .path and .boxes (annotation blocks)."""
-        return cls({item.path: item.boxes for item in annotated})
-
-
 @dataclass(frozen=True)
 class EvalResult:
     pr_points: list[tuple[float, float]]
@@ -44,29 +22,28 @@ class EvalResult:
 
 
 def match_detections(
-    rows_by_image, gt: GroundTruthSet, iou_threshold: float = EVAL_IOU_THRESHOLD
-) -> tuple[np.ndarray, np.ndarray, dict[str, set[int]]]:
+    rows_by_image, gt: dict[str, np.ndarray], iou_threshold: float = EVAL_IOU_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray]:
     """Label detections TP/FP, per image in descending score order.
 
     A detection is a TP when its best-IoU still-unmatched ground truth reaches
-    the threshold (inclusive); that ground truth is then spent, so duplicates
-    become FP.  `rows_by_image` maps image id -> (k, 5) `x_min y_min x_max
-    y_max score` rows.  Returns (scores, is_tp, matched): scores and flags over
-    all rows, images in the given order and rows in their order within each,
-    and the spent ground-truth indices per image.  Unknown image ids fail
-    loudly.
+    the threshold (inclusive, in (0, 1]); that ground truth is then spent, so
+    duplicates become FP.  `rows_by_image` maps image id -> (k, 5) `x_min
+    y_min x_max y_max score` rows, `gt` image id -> (m, 4) corner boxes.
+    Returns (scores, is_tp) over all rows, images in the given order and rows
+    in their order within each.  Unknown image ids fail loudly.
     """
-    gt_map = gt.boxes_by_image
-    unknown = sorted(i for i in rows_by_image if i not in gt_map)
+    if not 0 < iou_threshold <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    unknown = sorted(i for i in rows_by_image if i not in gt)
     if unknown:
         raise ValueError(f"detections reference unknown image ids: {unknown}")
 
     # seeded with empty arrays so that no images still concatenate
     scores, flags = [np.zeros(0)], [np.zeros(0, dtype=bool)]
-    matched: dict[str, set[int]] = {}
     for image_id, rows in rows_by_image.items():
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
-        ious = pairwise_jaccard(rows[:, :4], gt_map[image_id])
+        ious = pairwise_jaccard(rows[:, :4], gt[image_id])
         spent = np.zeros(ious.shape[1], dtype=bool)
         is_tp = np.zeros(len(rows), dtype=bool)
         for i in np.argsort(-rows[:, 4], kind="stable"):
@@ -79,10 +56,9 @@ def match_detections(
             if free_ious[best] >= iou_threshold:
                 spent[best] = True
                 is_tp[i] = True
-        matched[image_id] = set(np.flatnonzero(spent).tolist())
         scores.append(rows[:, 4])
         flags.append(is_tp)
-    return np.concatenate(scores), np.concatenate(flags), matched
+    return np.concatenate(scores), np.concatenate(flags)
 
 
 def precision_recall(tp, fp, total_faces: int) -> tuple[list[tuple[float, float]], float]:
@@ -120,17 +96,18 @@ def tpr_at_fp(tp, fp, total_faces: int, fp_budgets) -> dict[float, float]:
 
 def evaluate_detections(
     rows_by_image,
-    gt: GroundTruthSet,
+    gt,
     iou_threshold: float = EVAL_IOU_THRESHOLD,
     fp_budgets=(1000,),
 ) -> EvalResult:
-    """Full scoring pass: match, one descending-score sweep of cumulative TP
-    and FP counts (ties keep their matching order), then PR/AP, ROC and TPR
-    at the requested budgets."""
-    scores, is_tp, _ = match_detections(rows_by_image, gt, iou_threshold)
+    """Full scoring pass over `gt`, image id -> corner boxes: match, one
+    descending-score sweep of cumulative TP and FP counts (ties keep their
+    matching order), then PR/AP, ROC and TPR at the requested budgets."""
+    gt = {key: np.asarray(val, dtype=np.float64).reshape(-1, 4) for key, val in gt.items()}
+    scores, is_tp = match_detections(rows_by_image, gt, iou_threshold)
     is_tp = is_tp[np.argsort(-scores, kind="stable")]
     tp, fp = np.cumsum(is_tp), np.cumsum(~is_tp)
-    total = gt.total_faces
+    total = sum(len(b) for b in gt.values())
     pr, ap = precision_recall(tp, fp, total) if total else ([], 0.0)
     return EvalResult(
         pr_points=pr,

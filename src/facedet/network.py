@@ -228,7 +228,6 @@ class ModelWeights:
 
     entries: dict[str, tuple[np.ndarray, np.ndarray]]
     descriptor_fingerprint: int
-    version: int = WEIGHTS_VERSION
 
 
 class WeightFormatError(Exception):
@@ -280,7 +279,7 @@ def inception_forward(x, branch_weights) -> np.ndarray:
 
     def cv(t, suffix):
         w, b = branch_weights[suffix]
-        return ops.relu(ops.conv2d(t, w, b, stride=1, padding=ops.same_padding(w.shape[2:])))
+        return ops.relu(ops.conv2d(t, w, b, stride=1, padding=w.shape[2] // 2))
 
     pooled = ops.maxpool2d(x, 3, stride=1, padding=1)
     branches = [
@@ -358,7 +357,7 @@ def save_weights(weights: ModelWeights, path) -> None:
     little-endian float32 weights then bias."""
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
-        f.write(struct.pack("<I", weights.version))
+        f.write(struct.pack("<I", WEIGHTS_VERSION))
         f.write(struct.pack("<Q", weights.descriptor_fingerprint))
         for name, (w, b) in weights.entries.items():
             encoded = name.encode("utf-8")
@@ -421,4 +420,4 @@ def load_weights(path, descriptor: NetworkDescriptor | None = None) -> ModelWeig
         )
     if pos != len(data):
         raise WeightFormatError("trailing_data", f"{len(data) - pos} unexpected trailing bytes")
-    return ModelWeights(entries, fingerprint, version)
+    return ModelWeights(entries, fingerprint)

@@ -24,12 +24,6 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def same_padding(kernel) -> tuple[int, int]:
-    """floor(kernel / 2) per axis: keeps spatial size for stride 1."""
-    kh, kw = _pair(kernel)
-    return kh // 2, kw // 2
-
-
 def as_tensor(data) -> np.ndarray:
     """Coerce to a contiguous float32 NCHW tensor; all four dims must be >= 1."""
     x = np.ascontiguousarray(data, dtype=DTYPE)

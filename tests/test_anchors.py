@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facedet import anchors as anc
+from facedet.targets import center_size_to_corner
 from facedet.network import ANCHOR_SCALES, default_descriptor, forward
 
 from conftest import densified_centers, slot_count, tiling_density
@@ -132,7 +133,7 @@ class TestGenerateAnchors:
 
     def test_not_clipped_at_borders(self):
         a = anc.generate_anchors(640, 640)
-        corners = a.corner_boxes()
+        corners = center_size_to_corner(a.center_sizes())
         assert corners[:, 0].min() < 0
         assert corners[:, 2].max() > 640
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from facedet import augment as ag
-from facedet import ops
+from facedet import network, ops
 from naive_ops import resize_bilinear_fancy
 
 
@@ -195,14 +195,40 @@ class TestHFlip:
 class TestFilterBoxes:
     def test_narrow_box_removed(self):
         s = sample(60, 60, boxes=[[0, 0, 19, 30]])
-        assert len(ag.filter_boxes(s, 20).boxes) == 0
+        assert len(ag.filter_boxes(s).boxes) == 0
 
     def test_boundary_box_kept(self):
         s = sample(60, 60, boxes=[[0, 0, 20, 20]])
-        assert len(ag.filter_boxes(s, 20).boxes) == 1
+        assert len(ag.filter_boxes(s).boxes) == 1
 
     def test_empty_stays_empty(self):
-        assert len(ag.filter_boxes(sample(), 20).boxes) == 0
+        assert len(ag.filter_boxes(sample()).boxes) == 0
+
+
+class TestStagesShareImage:
+    # neither stage changes a pixel, so neither may copy the image
+    def test_hflip_without_flip(self):
+        s = sample(40, 60, boxes=[[0, 0, 30, 30]])
+        out = ag.hflip(s, np.random.default_rng(0), p=0.0)
+        assert np.shares_memory(out.image, s.image)
+        np.testing.assert_array_equal(out.boxes, s.boxes)
+
+    def test_filter_boxes(self):
+        s = sample(60, 60, boxes=[[0, 0, 19, 30], [0, 0, 30, 30]])
+        out = ag.filter_boxes(s)
+        assert np.shares_memory(out.image, s.image)
+        np.testing.assert_array_equal(out.boxes, [[0, 0, 30, 30]])
+
+
+class TestAugmentConfig:
+    def test_target_size_above_input_cap_rejected(self):
+        # only checked, never allocated: 4097^2 is just over the cap
+        cap = network.MAX_INPUT_PIXELS
+        with pytest.raises(ValueError, match=f"cap of {cap} pixels"):
+            ag.AugmentConfig(target_size=4097)
+
+    def test_target_size_at_cap_accepted(self):
+        assert ag.AugmentConfig(target_size=4096).target_size == 4096
 
 
 class TestPipeline:

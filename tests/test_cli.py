@@ -369,6 +369,21 @@ class TestDetectCommand:
         blocks = formats.parse_detections((out_dir / "img1.det.txt").read_text())
         assert [b.path for b in blocks] == [images[1]]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_file_mode_follows_umask(self, tmp_path, model_path, umask):
+        img = tmp_path / "img.ppm"
+        write_test_ppm(img)
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            assert main(["detect", "--model", model_path, "--out-dir", str(tmp_path), str(img)]) == 0
+        finally:
+            os.umask(old)
+        plain_mode = (tmp_path / "plain.txt").stat().st_mode
+        assert (tmp_path / "img.det.txt").stat().st_mode == plain_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.det.txt", "img.ppm", "plain.txt"]
+
     def test_closed_stdout_fails_no_image(self, tmp_path, model_path, monkeypatch):
         images = []
         for i in range(3):
@@ -464,6 +479,15 @@ class TestAugmentCommand:
         assert repr(str(out_img)) in capsys.readouterr().err
         assert not out_img.exists()
 
+    def test_target_size_above_cap_rejected_before_reading(self, tmp_path, capsys):
+        # the image does not exist: the cap must be named before any read
+        cap = network.MAX_INPUT_PIXELS
+        argv = ["augment", "--image", str(tmp_path / "missing.ppm"), "--target-size", "4097",
+                "--out-image", str(tmp_path / "o.ppm")]
+        assert main(argv) == 2
+        assert f"cap of {cap} pixels" in capsys.readouterr().err
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_size_mismatch_rejected(self, tmp_path):
         img = tmp_path / "in.ppm"
         write_test_ppm(img, size=128)
@@ -494,6 +518,15 @@ class TestEvalCommand:
                      "--dets", str(DATA / "eval_dets.txt")])
         assert code == 0
         assert "summary" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iou", ["0", "1.5"])
+    def test_iou_outside_unit_interval_is_2(self, iou, capsys):
+        code = main(["eval", "--gt", str(DATA / "eval_gt.txt"),
+                     "--dets", str(DATA / "eval_dets.txt"), "--iou", iou])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "iou_threshold must be in (0, 1]" in captured.err
+        assert "summary" not in captured.out
 
 
 class TestBenchCommand:

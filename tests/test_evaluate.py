@@ -16,6 +16,11 @@ def rows(dets):
     return np.array([[*d.box, d.score] for d in dets], dtype=np.float64).reshape(-1, 5)
 
 
+def gt_map(**boxes_by_image):
+    """Image id -> (m, 4) float64 corner boxes, the form `match_detections` reads."""
+    return {k: np.array(v, dtype=np.float64).reshape(-1, 4) for k, v in boxes_by_image.items()}
+
+
 def brute_force_labels(dets, gts, threshold):
     """Greedy matcher re-implemented with plain loops (one image)."""
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
@@ -37,36 +42,46 @@ def brute_force_labels(dets, gts, threshold):
 
 class TestMatchDetections:
     def test_duplicate_detection_penalized(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 100, 100]]})
+        gt = gt_map(a=[[0, 0, 100, 100]])
         dets = {"a": rows([det(0, 0, 100, 100, 0.9), det(5, 5, 100, 100, 0.8)])}
-        _, is_tp, matched = ev.match_detections(dets, gt)
+        _, is_tp = ev.match_detections(dets, gt)
         assert is_tp.tolist() == [True, False]
-        assert matched["a"] == {0}
 
     def test_threshold_inclusive_at_half(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 100, 100]]})
+        gt = gt_map(a=[[0, 0, 100, 100]])
         exactly_half = det(0, 0, 100, 50, 0.9)  # IoU 0.5
         just_below = det(0, 0, 100, 49, 0.9)  # IoU 0.49
-        _, is_tp, _ = ev.match_detections({"a": rows([exactly_half])}, gt)
+        _, is_tp = ev.match_detections({"a": rows([exactly_half])}, gt)
         assert is_tp[0]
-        _, is_tp, _ = ev.match_detections({"a": rows([just_below])}, gt)
+        _, is_tp = ev.match_detections({"a": rows([just_below])}, gt)
         assert not is_tp[0]
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # at 0 a detection far from every face would still take one as a TP
+        gt = gt_map(a=[[0, 0, 10, 10]])
+        with pytest.raises(ValueError, match=r"iou_threshold must be in \(0, 1\]"):
+            ev.match_detections({"a": rows([det(50, 50, 60, 60, 0.9)])}, gt, threshold)
+
+    def test_threshold_one_needs_exact_box(self):
+        gt = gt_map(a=[[0, 0, 10, 10]])
+        dets = {"a": rows([det(0, 0, 10, 10, 0.9), det(0, 0, 10, 9, 0.8)])}
+        _, is_tp = ev.match_detections(dets, gt, 1.0)
+        assert is_tp.tolist() == [True, False]
+
     def test_zero_detections(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10]]})
-        scores, is_tp, matched = ev.match_detections({"a": rows([])}, gt)
+        gt = gt_map(a=[[0, 0, 10, 10]])
+        scores, is_tp = ev.match_detections({"a": rows([])}, gt)
         assert scores.shape == is_tp.shape == (0,)
-        assert matched["a"] == set()
 
     def test_lower_scored_det_can_take_other_gt(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10], [20, 0, 30, 10]]})
+        gt = gt_map(a=[[0, 0, 10, 10], [20, 0, 30, 10]])
         dets = {"a": rows([det(0, 0, 10, 10, 0.9), det(20, 0, 30, 10, 0.5)])}
-        _, is_tp, matched = ev.match_detections(dets, gt)
+        _, is_tp = ev.match_detections(dets, gt)
         assert is_tp.all()
-        assert matched["a"] == {0, 1}
 
     def test_unknown_image_listed(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10]]})
+        gt = gt_map(a=[[0, 0, 10, 10]])
         with pytest.raises(ValueError, match=r"\['b', 'c'\]"):
             ev.match_detections({"b": rows([]), "c": rows([]), "a": rows([])}, gt)
 
@@ -86,8 +101,7 @@ class TestMatchDetections:
                     det(x0, y0, x0 + rng.uniform(10, 40), y0 + rng.uniform(10, 40),
                         round(float(rng.uniform(0, 1)), 2))
                 )
-            gt = ev.GroundTruthSet({"img": gts})
-            _, is_tp, _ = ev.match_detections({"img": rows(dets)}, gt)
+            _, is_tp = ev.match_detections({"img": rows(dets)}, gt_map(img=gts))
             assert is_tp.tolist() == brute_force_labels(dets, gts, 0.5)
 
 
@@ -178,16 +192,26 @@ class TestTprAtFp:
 
 class TestEvaluateDetections:
     def test_end_to_end(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 10, 10], [50, 50, 80, 80]]})
+        gt = {"a": [[0, 0, 10, 10], [50, 50, 80, 80]]}  # coerced to arrays by the callee
         dets = {"a": rows([det(0, 0, 10, 10, 0.9), det(200, 200, 210, 210, 0.8)])}
         result = ev.evaluate_detections(dets, gt, fp_budgets=(1, 1000))
         assert result.average_precision == pytest.approx(0.5)
         assert result.tpr_at_fp[1000] == pytest.approx(0.5)
         assert result.roc_points == [(0, 0.5), (1, 0.5)]
 
-    def test_total_faces_counted(self):
-        gt = ev.GroundTruthSet({"a": [[0, 0, 1, 1]], "b": [[0, 0, 1, 1], [2, 2, 3, 3]]})
-        assert gt.total_faces == 3
+    def test_total_faces_counted(self, tmp_path):
+        # every face of every image counts, also in an image with no detections
+        (tmp_path / "gt.txt").write_text(
+            "image a 10 10\nface 0 0 5 5\n\nimage b 10 10\nface 0 0 5 5\nface 5 5 9 9\n"
+        )
+        dets = tmp_path / "a.det.txt"
+        dets.write_text(formats.format_detections("a", 10, 10, rows([det(0, 0, 5, 5, 0.9)])))
+        out = tmp_path / "eval.txt"
+        argv = ["eval", "--gt", str(tmp_path / "gt.txt"), "--dets", str(dets), "--out", str(out)]
+        assert main(argv) == 0
+        fields = out.read_text().splitlines()[-1].split("\t")
+        assert fields[fields.index("faces") + 1] == "3"
+        assert fields[fields.index("ap") + 1] == f"{1 / 3:.6f}"
 
 
 class TestEvalCommandOracle:

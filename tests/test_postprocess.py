@@ -6,7 +6,7 @@ import pytest
 from facedet import postprocess as pp
 from facedet.anchors import generate_anchors
 from facedet.network import HeadOutputs, forward
-from facedet.targets import decode_boxes
+from facedet.targets import center_size_to_corner, decode_boxes
 
 from conftest import Det, grid_anchors
 from naive_ops import softmax_pairs
@@ -122,7 +122,7 @@ class TestDecodeAll:
         boxes, scores = pp.decode_all(heads, aset)
         assert boxes.shape == (8525, 4)
         np.testing.assert_allclose(scores, 0.5, atol=1e-6)
-        np.testing.assert_allclose(boxes, aset.corner_boxes(), atol=1e-3)
+        np.testing.assert_allclose(boxes, center_size_to_corner(aset.center_sizes()), atol=1e-3)
 
     def test_order_preserved_per_anchor(self):
         # stamp slot index into the offsets; decoded row i must use anchor i
