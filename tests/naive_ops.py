@@ -1,6 +1,7 @@
 """Slow loop-based twins of `ops.conv2d` and `ops.maxpool2d`, the pairwise
 channel softmax the decoded face scores are checked against, and the
-fancy-indexing bilinear resize `augment.resize_bilinear` must match bit for bit.
+fancy-indexing bilinear resize and whole-image color transform that
+`augment.resize_bilinear` and `augment.apply_color` must match bit for bit.
 
 They share no code with the fast operators beyond input coercion, argument
 parsing and the output-size formula, so the tests can use them as independent oracles.
@@ -107,3 +108,38 @@ def resize_bilinear_fancy(image, out_h: int, out_w: int) -> np.ndarray:
     rows = img[:, :, y0, :] * (1 - fy)[None, None, :, None] + img[:, :, y1, :] * fy[None, None, :, None]
     out = rows[:, :, :, x0] * (1 - fx) + rows[:, :, :, x1] * fx
     return out.astype(DTYPE)
+
+
+_LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64).reshape(1, 3, 1, 1)
+
+
+def _luma(image: np.ndarray) -> np.ndarray:
+    return (image * _LUMA).sum(axis=1, keepdims=True)
+
+
+def apply_color_unbanded(image, brightness: float, contrast: float, saturation: float,
+                         order=("brightness", "contrast", "saturation")):
+    """`augment.apply_color` as first written: each op runs on the whole image
+    through image-sized float64 temporaries.  The banded version applies the
+    same ufuncs in the same order to each element, so the two agree bit for
+    bit.  Test oracle only."""
+    img = as_tensor(image)
+    for op in order:
+        if op == "brightness":
+            if brightness == 0:
+                continue
+            img = img + np.float32(brightness)
+        elif op == "contrast":
+            if contrast == 1:
+                continue
+            mean = _luma(img).mean()
+            img = (img - mean) * contrast + mean
+        elif op == "saturation":
+            if saturation == 1:
+                continue
+            gray = _luma(img)
+            img = gray + (img - gray) * saturation
+        else:
+            raise ValueError(f"unknown color op {op!r}")
+        img = np.clip(img, 0.0, 1.0)
+    return img.astype(DTYPE)

@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from facedet import augment as ag
 from facedet import network, ops
-from naive_ops import resize_bilinear_fancy
+from naive_ops import apply_color_unbanded, resize_bilinear_fancy
+
+# one row per band, the default, and the whole image as one band
+BAND_BYTES_CASES = (1, ag.BAND_BYTES, 1 << 40)
+COLOR_ORDERS = list(itertools.permutations(ag._COLOR_OPS))
 
 
 def checker_image(h, w, seed=0):
@@ -50,6 +56,30 @@ class TestColorDistort:
         rng = np.random.default_rng(1)
         out = ag.Sample(ag.color_distort(s.image, rng), s.boxes, s.source_id)
         np.testing.assert_array_equal(out.boxes, s.boxes)
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown color op 'hue'"):
+            ag.apply_color(checker_image(4, 4), 0.1, 1.2, 0.8, order=("brightness", "hue"))
+
+    @pytest.mark.parametrize("h,w", [(1, 5), (7, 33), (768, 256)])
+    @pytest.mark.parametrize("params", [
+        (0.07, 1.3, 0.6), (-0.09, 0.7, 1.4),  # every op runs
+        (0.0, 1.3, 0.6), (0.07, 1.0, 0.6), (0.07, 1.3, 1.0),  # one identity skip each
+        (0.0, 1.0, 1.0),
+    ])
+    def test_matches_unbanded_oracle_bit_for_bit(self, monkeypatch, params, h, w):
+        # every op order, so each op meets a float32 and a float64 input and
+        # an identity op sits before the first float64 op
+        img = checker_image(h, w, seed=h)
+        for order in COLOR_ORDERS:
+            expected = apply_color_unbanded(img, *params, order=order)
+            for band_bytes in BAND_BYTES_CASES:
+                monkeypatch.setattr(ag, "BAND_BYTES", band_bytes)
+                out = ag.apply_color(img, *params, order=order)
+                np.testing.assert_array_equal(
+                    out.view(np.uint32), expected.view(np.uint32), err_msg=f"{order} {band_bytes}"
+                )
+                assert out.dtype == np.float32 and out.flags.c_contiguous
 
 
 class TestRandomCrop:
@@ -142,12 +172,16 @@ class TestResize:
          ((480, 640), (384, 512)), ((517, 999), (700, 260)), ((64, 64), (64, 64)),
          ((1, 1), (4, 4)), ((40, 40), (1, 1))],
     )
-    def test_matches_fancy_index_oracle_bit_for_bit(self, size, out_size):
+    def test_matches_fancy_index_oracle_bit_for_bit(self, monkeypatch, size, out_size):
         img = checker_image(*size, seed=size[0])
-        out = ag.resize_bilinear(img, *out_size)
         expected = resize_bilinear_fancy(img, *out_size)
-        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
-        assert out.dtype == np.float32 and out.flags.c_contiguous
+        for band_bytes in BAND_BYTES_CASES:
+            monkeypatch.setattr(ag, "BAND_BYTES", band_bytes)
+            out = ag.resize_bilinear(img, *out_size)
+            np.testing.assert_array_equal(
+                out.view(np.uint32), expected.view(np.uint32), err_msg=str(band_bytes)
+            )
+            assert out.dtype == np.float32 and out.flags.c_contiguous
 
 
 class TestHFlip:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facedet import cli, formats, network, ops, ppm
+from facedet import augment, cli, formats, network, ops, ppm
 from facedet.cli import main
 from facedet.network import ModelWeights, save_weights
 
@@ -335,6 +336,34 @@ class TestDetectCommand:
         image_bytes = 3 * 1024 * 1024 * 4
         assert held < 1.6 * image_bytes, f"{held / image_bytes:.2f} images held"
 
+    def test_resize_holds_output_and_bands(self):
+        # detect --resize and augment's resize run the float64 chain one band
+        # of rows at a time: past the float32 output only band temporaries live
+        img = np.random.default_rng(0).random((1, 3, 300, 300), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = augment.resize_bilinear(img, 1024, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_color_holds_under_five_images(self):
+        # at most a brightened float32 copy, one float64 working image (two
+        # images), the luma for the contrast mean (two thirds of one) and the
+        # float32 result; the chains themselves run in row bands
+        img = np.random.default_rng(0).random((1, 3, 768, 1024), dtype=np.float32)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for order in itertools.permutations(("brightness", "contrast", "saturation")):
+                tracemalloc.reset_peak()
+                augment.apply_color(img, 0.07, 1.3, 0.6, order)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 5 * img.nbytes, f"{max(peaks) / img.nbytes:.2f} images at peak"
+
     def test_failed_write_leaves_no_file(self, tmp_path, model_path, monkeypatch, capsys):
         # the first image's write dies halfway; neither a truncated .det.txt
         # nor the temp file may stay behind, and the second image is unharmed
@@ -526,6 +555,27 @@ class TestEvalCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert "iou_threshold must be in (0, 1]" in captured.err
+        assert "summary" not in captured.out
+
+    def test_image_listed_twice_in_gt_is_2(self, tmp_path, capsys):
+        # keyed by path, the second block would silently replace the first
+        gt = tmp_path / "gt.txt"
+        gt.write_text("image a 100 100\nface 0 0 50 50\n\nimage a 100 100\nface 60 60 90 90\n")
+        dets = tmp_path / "dets.txt"
+        dets.write_text(formats.format_detections("a", 100, 100, [[0, 0, 50, 50, 0.9]]))
+        assert main(["eval", "--gt", str(gt), "--dets", str(dets)]) == 2
+        captured = capsys.readouterr()
+        assert "ground truth lists image 'a' twice" in captured.err
+        assert "summary" not in captured.out
+
+    def test_detections_on_other_image_size_is_2(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("image a 100 100\nface 0 0 50 50\n")
+        dets = tmp_path / "dets.txt"
+        dets.write_text(formats.format_detections("a", 200, 300, [[0, 0, 50, 50, 0.9]]))
+        assert main(["eval", "--gt", str(gt), "--dets", str(dets)]) == 2
+        captured = capsys.readouterr()
+        assert "detections for 'a' are on a 200x300 image, its ground truth on 100x100" in captured.err
         assert "summary" not in captured.out
 
 
