@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ANCHOR_SCALES, ANCHOR_SOURCES, default_descriptor
+from .network import ANCHOR_SCALES, ANCHOR_SOURCES, check_input_pixels, default_descriptor
 
 
 @dataclass(frozen=True)
@@ -55,58 +55,30 @@ class AnchorSet:
 
 
 def generate_anchors(image_w: int, image_h: int) -> AnchorSet:
-    """Tile every ANCHOR_SCALES (scale, densify) pair over its layer's grid,
-    at that layer's stride in the default descriptor."""
+    """Tile every ANCHOR_SCALES (scale, densify) pair over its layer's grid at
+    that layer's stride in the default descriptor; images over MAX_INPUT_PIXELS raise."""
+    check_input_pixels(image_h, image_w)
     descriptor = default_descriptor()
     sizes = descriptor.spatial_sizes(image_h, image_w)
     strides = descriptor.cumulative_strides()
-    parts_f: list[np.ndarray] = []  # cx, cy, side columns
-    parts_i: list[np.ndarray] = []  # layer, row, col, sub columns
+    parts = []  # per layer, its seven columns in AnchorSet field order
     for li, (layer, scales) in enumerate(ANCHOR_SCALES.items()):
         rows, cols = sizes[layer]
         stride = strides[layer]
-        template = []  # (off_x, off_y, side, sub) per anchor of one cell
-        for scale, n in scales:
-            step = stride / n
-            for j in range(n):
-                for i in range(n):
-                    template.append(((i + 0.5) * step, (j + 0.5) * step, scale, j * n + i))
-        tmpl = np.array(template, dtype=np.float64)
-        a = len(template)
-
-        col_idx = np.arange(cols, dtype=np.float64)
-        row_idx = np.arange(rows, dtype=np.float64)
-        cx = np.broadcast_to(
-            col_idx[None, :, None] * stride + tmpl[None, None, :, 0], (rows, cols, a)
-        )
-        cy = np.broadcast_to(
-            row_idx[:, None, None] * stride + tmpl[None, None, :, 1], (rows, cols, a)
-        )
-        side = np.broadcast_to(tmpl[None, None, :, 2], (rows, cols, a))
-        sub = np.broadcast_to(tmpl[None, None, :, 3], (rows, cols, a))
-        rr = np.broadcast_to(np.arange(rows)[:, None, None], (rows, cols, a))
-        cc = np.broadcast_to(np.arange(cols)[None, :, None], (rows, cols, a))
-
-        parts_f.append(
-            np.stack([cx.ravel(), cy.ravel(), side.ravel()], axis=1).astype(np.float32)
-        )
-        parts_i.append(
-            np.stack(
-                [np.full(rows * cols * a, li), rr.ravel(), cc.ravel(), sub.ravel()],
-                axis=1,
-            ).astype(np.int32)
-        )
-
-    f = np.concatenate(parts_f)
-    i = np.concatenate(parts_i)
-    return AnchorSet(
-        image_w=int(image_w),
-        image_h=int(image_h),
-        cx=f[:, 0],
-        cy=f[:, 1],
-        side=f[:, 2],
-        layer_index=i[:, 0],
-        row=i[:, 1],
-        col=i[:, 2],
-        sub_index=i[:, 3],
-    )
+        # (off_x, off_y, side, sub) of each anchor of one cell, in cell order
+        off_x, off_y, side, sub = np.array(
+            [
+                ((i + 0.5) * (stride / n), (j + 0.5) * (stride / n), scale, j * n + i)
+                for scale, n in scales
+                for j in range(n)
+                for i in range(n)
+            ]
+        ).T
+        r, c, _ = np.indices((rows, cols, 1), sparse=True)
+        values = (c * stride + off_x, r * stride + off_y, side, li, r, c, sub)
+        parts.append([np.broadcast_to(v, (rows, cols, len(sub))).ravel() for v in values])
+    columns = list(zip(*parts))
+    floats = [np.concatenate(col, dtype=np.float32) for col in columns[:3]]
+    # sub is float64 in the template, so its cast to int32 is an unsafe one
+    ints = [np.concatenate(col, dtype=np.int32, casting="unsafe") for col in columns[3:]]
+    return AnchorSet(int(image_w), int(image_h), *floats, *ints)

@@ -196,7 +196,7 @@ def resize_bilinear(image, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def resize_square(sample: Sample, target: int = 1024) -> Sample:
+def resize_square(sample: Sample, target: int) -> Sample:
     """Resize a square patch to target x target; boxes scale along."""
     if sample.height != sample.width:
         raise ValueError(f"resize_square needs a square patch, got {sample.width}x{sample.height}")

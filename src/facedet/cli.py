@@ -20,7 +20,7 @@ import numpy as np
 from . import formats, ppm
 from .anchors import generate_anchors
 from .augment import AugmentConfig, Sample, augment_pipeline, resize_bilinear
-from .evaluate import evaluate_detections
+from .evaluate import EVAL_IOU_THRESHOLD, evaluate_detections
 from .network import (
     WeightFormatError,
     check_input_pixels,
@@ -31,7 +31,7 @@ from .network import (
     xavier_init,
 )
 from .postprocess import PostprocessConfig, run_postprocess
-from .targets import match_anchors
+from .targets import MATCH_THRESHOLD, match_anchors
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,15 +73,15 @@ def _postprocess_config(args) -> PostprocessConfig:
 
 
 def _add_postprocess_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--conf-threshold", type=float, default=0.05)
-    p.add_argument("--pre-topk", type=int, default=400)
-    p.add_argument("--nms-overlap", type=float, default=0.3)
-    p.add_argument("--post-topk", type=int, default=200)
+    p.add_argument("--conf-threshold", type=float, default=PostprocessConfig.conf_threshold)
+    p.add_argument("--pre-topk", type=int, default=PostprocessConfig.pre_nms_top_k)
+    p.add_argument("--nms-overlap", type=float, default=PostprocessConfig.nms_overlap)
+    p.add_argument("--post-topk", type=int, default=PostprocessConfig.post_nms_top_k)
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path and path != "-":
-        Path(path).write_text(text)
+        _write_atomic(Path(path), text)
     else:
         sys.stdout.write(text)
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("targets", help="dump per-anchor training targets")
     p.add_argument("--ann", required=True)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--match-threshold", type=float, default=0.35)
+    p.add_argument("--match-threshold", type=float, default=MATCH_THRESHOLD)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_targets)
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ann", default=None)
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-size", type=int, default=1024)
+    p.add_argument("--target-size", type=int, default=AugmentConfig.target_size)
     p.add_argument("--out-image", required=True)
     p.add_argument("--out-ann", default=None)
     p.set_defaults(func=cmd_augment)
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score detection files against annotations")
     p.add_argument("--gt", required=True)
     p.add_argument("--dets", nargs="+", required=True)
-    p.add_argument("--iou", type=float, default=0.5)
+    p.add_argument("--iou", type=float, default=EVAL_IOU_THRESHOLD)
     p.add_argument("--fp-budgets", default="1000")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

@@ -354,12 +354,16 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
 def save_weights(weights: ModelWeights, path) -> None:
     """Write the FBXW container: magic, u32 version, u64 descriptor
     fingerprint, then per entry: u32 name length + name bytes + 4 u32 dims +
-    little-endian float32 weights then bias."""
+    little-endian float32 weights then bias, in `conv_entries()` order.
+    Weights that `validate_weights` rejects raise before the file is opened."""
+    descriptor = default_descriptor()
+    validate_weights(weights, descriptor)
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<I", WEIGHTS_VERSION))
         f.write(struct.pack("<Q", weights.descriptor_fingerprint))
-        for name, (w, b) in weights.entries.items():
+        for name, _ in descriptor.conv_entries():
+            w, b = weights.entries[name]
             encoded = name.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)

@@ -17,13 +17,6 @@ DTYPE = np.float32
 _NEG_INF = np.float32(-np.inf)
 
 
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        a, b = v
-        return int(a), int(b)
-    return int(v), int(v)
-
-
 def as_tensor(data) -> np.ndarray:
     """Coerce to a contiguous float32 NCHW tensor; all four dims must be >= 1."""
     x = np.ascontiguousarray(data, dtype=DTYPE)
@@ -55,7 +48,7 @@ IM2COL_BAND_BYTES = 1 << 20
 
 
 def conv2d(x, weight, bias, stride=1, padding=0) -> np.ndarray:
-    """Cross-correlate x (n,ci,h,w) with weight (co,ci,kh,kw), add bias (co,).
+    """Cross-correlate x (n,ci,h,w) with a square weight (co,ci,k,k), add bias (co,).
 
     GEMM unrolling in bands of output rows: each band's im2col matrix is
     copied into one buffer of at most IM2COL_BAND_BYTES, reused for every
@@ -68,77 +61,72 @@ def conv2d(x, weight, bias, stride=1, padding=0) -> np.ndarray:
     weight = np.ascontiguousarray(weight, dtype=DTYPE)
     bias = np.ascontiguousarray(bias, dtype=DTYPE)
     if weight.ndim != 4:
-        raise ValueError(f"conv weight must be 4-d (co, ci, kh, kw), got {weight.shape}")
+        raise ValueError(f"conv weight must be 4-d (co, ci, k, k), got {weight.shape}")
     n, ci, h, w = x.shape
-    co, wci, kh, kw = weight.shape
-    if wci != ci:
-        raise ValueError(f"weight expects {wci} input channels, tensor has {ci}")
+    co, wci, k, kw = weight.shape
+    if wci != ci or kw != k:
+        raise ValueError(f"weight {weight.shape} is not square or not for {ci} input channels")
     if bias.shape != (co,):
         raise ValueError(f"bias must have shape ({co},), got {bias.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(w, kw, sw, pw)
-    wmat = weight.reshape(co, ci * kh * kw)
+    oh = conv_output_size(h, k, stride, padding)
+    ow = conv_output_size(w, k, stride, padding)
+    wmat = weight.reshape(co, ci * k * k)
     out = np.empty((n, co, oh, ow), dtype=DTYPE)
     out_rows = out.reshape(n, co, oh * ow)
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+    if (k, stride, padding) == (1, 1, 0):
         np.matmul(wmat, x.reshape(n, ci, h * w), out=out_rows)
     else:
-        _banded_matmul(x, wmat, (kh, kw), (sh, sw), (ph, pw), out_rows, ow)
+        _banded_matmul(x, wmat, k, stride, padding, out_rows, ow)
     out_rows += bias[:, None]  # one pass: adding it per band measured ~5x slower
     return out
 
 
-def _banded_matmul(x, wmat, kernel, stride, padding, out_rows, ow) -> None:
-    """out_rows[b] = wmat @ im2col(x[b]), built one band of output rows at a time."""
-    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+def _banded_matmul(x, wmat, k, s, p, out_rows, ow) -> None:
+    """out_rows[b] = wmat @ im2col(x[b]) for a k x k kernel, one band of output rows at a time."""
     n, ci, h, w = x.shape
-    k = wmat.shape[1]
+    depth = wmat.shape[1]
     oh = out_rows.shape[2] // ow
-    band = max(1, min(oh, IM2COL_BAND_BYTES // (k * ow * x.itemsize)))
+    band = max(1, min(oh, IM2COL_BAND_BYTES // (depth * ow * x.itemsize)))
     # the zero-padded input rows one band reads; its column borders are zeroed
     # here and never written, rows beyond the input are zeroed per band
-    span = (band - 1) * sh + kh
-    rows_in = np.zeros((ci, span, w + 2 * pw), dtype=DTYPE)
-    # windows[c, i, j, oy, ox] = rows_in[c, oy*sh + i, ox*sw + j], a view;
+    span = (band - 1) * s + k
+    rows_in = np.zeros((ci, span, w + 2 * p), dtype=DTYPE)
+    # windows[c, i, j, oy, ox] = rows_in[c, oy*s + i, ox*s + j], a view;
     # as_strided costs a quarter of sliding_window_view's Python time
     sc, srow, scol = rows_in.strides
     windows = as_strided(
         rows_in,
-        shape=(ci, kh, kw, band, ow),
-        strides=(sc, srow, scol, srow * sh, scol * sw),
+        shape=(ci, k, k, band, ow),
+        strides=(sc, srow, scol, srow * s, scol * s),
         writeable=False,
     )
-    buf = np.empty(k * band * ow, dtype=DTYPE)
+    buf = np.empty(depth * band * ow, dtype=DTYPE)
     for b in range(n):
         for r0 in range(0, oh, band):
             r = min(band, oh - r0)
-            top = r0 * sh - ph  # input row held in rows_in[:, 0]
+            top = r0 * s - p  # input row held in rows_in[:, 0]
             lo = max(top, 0)
-            hi = max(lo, min(top + (r - 1) * sh + kh, h))
+            hi = max(lo, min(top + (r - 1) * s + k, h))
             rows_in[:, : lo - top] = 0
             rows_in[:, hi - top :] = 0
-            rows_in[:, lo - top : hi - top, pw : pw + w] = x[b, :, lo:hi]
-            cols = buf[: k * r * ow].reshape(ci, kh, kw, r, ow)
+            rows_in[:, lo - top : hi - top, p : p + w] = x[b, :, lo:hi]
+            cols = buf[: depth * r * ow].reshape(ci, k, k, r, ow)
             np.copyto(cols, windows[:, :, :, :r])
             dst = out_rows[b, :, r0 * ow : (r0 + r) * ow]
-            np.matmul(wmat, cols.reshape(k, r * ow), out=dst)
+            np.matmul(wmat, cols.reshape(depth, r * ow), out=dst)
 
 
-def _pool_geometry(x, kernel, stride, padding):
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    if ph >= kh or pw >= kw:
+def _pool_shape(x, kernel, stride, padding) -> tuple[int, int, int, int]:
+    """(n, c, oh, ow) of pooling x with a square window."""
+    if padding >= kernel:
         raise ValueError(
-            f"padding {ph, pw} >= kernel {kh, kw} would create windows entirely "
+            f"padding {padding} >= kernel {kernel} would create windows entirely "
             "outside the input"
         )
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(w, kw, sw, pw)
-    return (kh, kw), (sh, sw), (ph, pw), (n, c, oh, ow)
+    oh = conv_output_size(h, kernel, stride, padding)
+    ow = conv_output_size(w, kernel, stride, padding)
+    return n, c, oh, ow
 
 
 def _taps(kernel: int, stride: int, pad: int, size: int, out_size: int):
@@ -156,16 +144,15 @@ def _pool(x, kernel, stride, padding, reduce, start, out) -> None:
     """Reduce every pooling window of x into out with `reduce`, beginning at
     `start`, which stands in for the padding cells.  Separable: windows are
     reduced along the height into a temporary, then along the width, which
-    takes kh + kw passes instead of kh * kw.  Height goes first because its
-    taps read whole rows, and a stride skips rows instead of columns."""
-    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    takes 2k passes instead of k * k.  Height goes first because its taps
+    read whole rows, and a stride skips rows instead of columns."""
     n, c, h, w = x.shape
     oh, ow = out.shape[2:]
     down = np.full((n, c, oh, w), start, dtype=DTYPE)
-    for dst, src in _taps(kh, sh, ph, h, oh):
+    for dst, src in _taps(kernel, stride, padding, h, oh):
         reduce(x[:, :, src], down[:, :, dst], out=down[:, :, dst])
     out[...] = start
-    for dst, src in _taps(kw, sw, pw, w, ow):
+    for dst, src in _taps(kernel, stride, padding, w, ow):
         reduce(down[..., src], out[..., dst], out=out[..., dst])
 
 
@@ -173,8 +160,7 @@ def maxpool2d(x, kernel, stride=1, padding=0) -> np.ndarray:
     """Max over sliding windows; padded cells act as -inf and are never chosen
     while any real cell is in the window."""
     x = as_tensor(x)
-    kernel, stride, padding, shape = _pool_geometry(x, kernel, stride, padding)
-    out = np.empty(shape, dtype=DTYPE)
+    out = np.empty(_pool_shape(x, kernel, stride, padding), dtype=DTYPE)
     _pool(x, kernel, stride, padding, np.maximum, _NEG_INF, out)
     return out
 
@@ -188,7 +174,7 @@ def crelu_maxpool2d(x, kernel, stride=1, padding=0) -> np.ndarray:
     the unfused one.
     """
     x = as_tensor(x)
-    kernel, stride, padding, (n, c, oh, ow) = _pool_geometry(x, kernel, stride, padding)
+    n, c, oh, ow = _pool_shape(x, kernel, stride, padding)
     out = np.empty((n, 2 * c, oh, ow), dtype=DTYPE)
     pos, neg = out[:, :c], out[:, c:]
     _pool(x, kernel, stride, padding, np.maximum, 0, pos)

@@ -1,15 +1,27 @@
 """Slow loop-based twins of `ops.conv2d` and `ops.maxpool2d`, the pairwise
-channel softmax the decoded face scores are checked against, and the
+channel softmax the decoded face scores are checked against, the
 fancy-indexing bilinear resize and whole-image color transform that
-`augment.resize_bilinear` and `augment.apply_color` must match bit for bit.
+`augment.resize_bilinear` and `augment.apply_color` must match bit for bit,
+and the stacked anchor construction `anchors.generate_anchors` must match
+bit for bit.
 
-They share no code with the fast operators beyond input coercion, argument
-parsing and the output-size formula, so the tests can use them as independent oracles.
+They share no code with the fast operators beyond input coercion and the
+output-size formula, so the tests can use them as independent oracles.
 """
 
 import numpy as np
 
-from facedet.ops import DTYPE, _pair, as_tensor, conv_output_size
+from facedet.anchors import AnchorSet
+from facedet.network import ANCHOR_SCALES, default_descriptor
+from facedet.ops import DTYPE, as_tensor, conv_output_size
+
+
+def _pair(v) -> tuple[int, int]:
+    """An int or an (h, w) pair as an (h, w) pair; the oracles accept both."""
+    if isinstance(v, (tuple, list)):
+        a, b = v
+        return int(a), int(b)
+    return int(v), int(v)
 
 
 def conv2d_naive(x, weight, bias, stride=1, padding=0) -> np.ndarray:
@@ -143,3 +155,64 @@ def apply_color_unbanded(image, brightness: float, contrast: float, saturation: 
             raise ValueError(f"unknown color op {op!r}")
         img = np.clip(img, 0.0, 1.0)
     return img.astype(DTYPE)
+
+
+def generate_anchors_stacked(image_w: int, image_h: int) -> AnchorSet:
+    """`anchors.generate_anchors` as first written: each layer's float and int
+    columns are stacked into two (N, 3) and (N, 4) arrays, which are
+    concatenated and split back into columns.  The broadcast version computes
+    every value with the same operations, so the two agree bit for bit.  Test
+    oracle only."""
+    descriptor = default_descriptor()
+    sizes = descriptor.spatial_sizes(image_h, image_w)
+    strides = descriptor.cumulative_strides()
+    parts_f: list[np.ndarray] = []  # cx, cy, side columns
+    parts_i: list[np.ndarray] = []  # layer, row, col, sub columns
+    for li, (layer, scales) in enumerate(ANCHOR_SCALES.items()):
+        rows, cols = sizes[layer]
+        stride = strides[layer]
+        template = []  # (off_x, off_y, side, sub) per anchor of one cell
+        for scale, n in scales:
+            step = stride / n
+            for j in range(n):
+                for i in range(n):
+                    template.append(((i + 0.5) * step, (j + 0.5) * step, scale, j * n + i))
+        tmpl = np.array(template, dtype=np.float64)
+        a = len(template)
+
+        col_idx = np.arange(cols, dtype=np.float64)
+        row_idx = np.arange(rows, dtype=np.float64)
+        cx = np.broadcast_to(
+            col_idx[None, :, None] * stride + tmpl[None, None, :, 0], (rows, cols, a)
+        )
+        cy = np.broadcast_to(
+            row_idx[:, None, None] * stride + tmpl[None, None, :, 1], (rows, cols, a)
+        )
+        side = np.broadcast_to(tmpl[None, None, :, 2], (rows, cols, a))
+        sub = np.broadcast_to(tmpl[None, None, :, 3], (rows, cols, a))
+        rr = np.broadcast_to(np.arange(rows)[:, None, None], (rows, cols, a))
+        cc = np.broadcast_to(np.arange(cols)[None, :, None], (rows, cols, a))
+
+        parts_f.append(
+            np.stack([cx.ravel(), cy.ravel(), side.ravel()], axis=1).astype(np.float32)
+        )
+        parts_i.append(
+            np.stack(
+                [np.full(rows * cols * a, li), rr.ravel(), cc.ravel(), sub.ravel()],
+                axis=1,
+            ).astype(np.int32)
+        )
+
+    f = np.concatenate(parts_f)
+    i = np.concatenate(parts_i)
+    return AnchorSet(
+        image_w=int(image_w),
+        image_h=int(image_h),
+        cx=f[:, 0],
+        cy=f[:, 1],
+        side=f[:, 2],
+        layer_index=i[:, 0],
+        row=i[:, 1],
+        col=i[:, 2],
+        sub_index=i[:, 3],
+    )

@@ -8,6 +8,12 @@ from facedet.targets import center_size_to_corner
 from facedet.network import ANCHOR_SCALES, default_descriptor, forward
 
 from conftest import densified_centers, slot_count, tiling_density
+from naive_ops import generate_anchors_stacked
+
+_FIELDS = ("cx", "cy", "side", "layer_index", "row", "col", "sub_index")
+_RANDOM_SIZES = [
+    (int(w), int(h)) for w, h in np.random.default_rng(15).integers(128, 1501, (8, 2))
+]
 
 
 class TestTilingDensity:
@@ -136,6 +142,18 @@ class TestGenerateAnchors:
         corners = center_size_to_corner(a.center_sizes())
         assert corners[:, 0].min() < 0
         assert corners[:, 2].max() > 640
+
+    @pytest.mark.parametrize(
+        "w,h", [(128, 128), (640, 480), (999, 517), (1024, 1024), (4096, 4096)] + _RANDOM_SIZES
+    )
+    def test_matches_stacked_oracle_bit_for_bit(self, w, h):
+        got, want = anc.generate_anchors(w, h), generate_anchors_stacked(w, h)
+        assert (got.image_w, got.image_h) == (want.image_w, want.image_h)
+        for field in _FIELDS:
+            g, e = getattr(got, field), getattr(want, field)
+            assert g.dtype == e.dtype, field
+            np.testing.assert_array_equal(g.view(np.uint32), e.view(np.uint32), err_msg=field)
+            assert g.flags.c_contiguous, field
 
     def test_serialization_deterministic(self):
         a1 = "\n".join(anc.generate_anchors(640, 480).to_lines())

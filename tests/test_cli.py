@@ -13,7 +13,10 @@ import pytest
 
 from facedet import augment, cli, formats, network, ops, ppm
 from facedet.cli import main
+from facedet.evaluate import EVAL_IOU_THRESHOLD
 from facedet.network import ModelWeights, save_weights
+from facedet.postprocess import PostprocessConfig
+from facedet.targets import MATCH_THRESHOLD
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +115,15 @@ class TestExitCodes:
     def test_help_is_0(self):
         assert main(["--help"]) == 0
 
+    def test_defaults_come_from_the_library(self):
+        parse = cli.build_parser().parse_args
+        detect = parse(["detect", "img.ppm", "--model", "m"])
+        assert cli._postprocess_config(detect) == PostprocessConfig()
+        assert parse(["targets", "--ann", "a"]).match_threshold == MATCH_THRESHOLD
+        assert parse(["eval", "--gt", "g", "--dets", "d"]).iou == EVAL_IOU_THRESHOLD
+        augmented = parse(["augment", "--image", "i", "--out-image", "o"])
+        assert augmented.target_size == augment.AugmentConfig().target_size
+
     def test_zero_resize_side_is_usage_error(self, capsys):
         assert main(["detect", "--model", "m", "--resize", "0x480", "img.ppm"]) == 1
         assert "--resize" in capsys.readouterr().err
@@ -142,6 +154,39 @@ class TestAnchorsCommand:
         assert lines[0] == "anchors w 640 h 640 count 8525"
         assert len(lines) == 8526
         assert lines[1].split()[0] == "Inception3"
+
+    def test_over_cap_is_2(self, capsys):
+        # 4097x4096 is one column over MAX_INPUT_PIXELS, which every image
+        # reader rejects; its 351,968 anchors are never built
+        assert main(["anchors", "4097", "4096"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4097x4096" in captured.err and "cap of 16777216 pixels" in captured.err
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, capsys):
+        # the write dies halfway; the file already at --out stays as it was
+        # and the temp file beside it is removed
+        out = tmp_path / "a.txt"
+        out.write_text("old\n")
+        fdopen = os.fdopen
+
+        def failing(fd, *args, **kwargs):
+            f = fdopen(fd, *args, **kwargs)
+            write = f.write
+
+            def dies_halfway(text):
+                write(text[: len(text) // 2])
+                f.flush()
+                raise OSError(28, "No space left on device")
+
+            f.write = dies_halfway
+            return f
+
+        monkeypatch.setattr(os, "fdopen", failing)
+        assert main(["anchors", "640", "640", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
     def test_idempotent(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

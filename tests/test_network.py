@@ -272,6 +272,23 @@ class TestWeightSerialization:
         save_weights(random_weights, path)
         assert path.stat().st_size < 8 * 1024 * 1024
 
+    def test_reversed_entries_round_trip_bit_exact(self, tmp_path, descriptor, random_weights):
+        # validate_weights accepts any dict order; the file must still be in
+        # the order load_weights reads
+        entries = dict(reversed(random_weights.entries.items()))
+        path = tmp_path / "m.fbxw"
+        save_weights(network.ModelWeights(entries, random_weights.descriptor_fingerprint), path)
+        loaded = load_weights(path, descriptor)
+        for name, (w, b) in random_weights.entries.items():
+            np.testing.assert_array_equal(loaded.entries[name][0], w)
+            np.testing.assert_array_equal(loaded.entries[name][1], b)
+
+    def test_foreign_weights_not_written(self, tmp_path, random_weights):
+        path = tmp_path / "m.fbxw"
+        with pytest.raises(ValueError, match="different descriptor"):
+            save_weights(network.ModelWeights(random_weights.entries, 12345), path)
+        assert not path.exists()
+
     def test_save_deterministic(self, tmp_path, descriptor):
         p1, p2 = tmp_path / "a.fbxw", tmp_path / "b.fbxw"
         save_weights(xavier_init(descriptor, 7), p1)

@@ -38,6 +38,11 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channels"):
             ops.conv2d(x, np.zeros((1, 3, 3, 3), np.float32), [0.0], padding=1)
 
+    def test_non_square_weight_raises(self):
+        x = np.zeros((1, 2, 8, 8), np.float32)
+        with pytest.raises(ValueError, match="square"):
+            ops.conv2d(x, np.zeros((4, 2, 3, 5), np.float32), np.zeros(4), padding=1)
+
     def test_bias_added(self):
         x = np.zeros((1, 1, 2, 2), np.float32)
         out = ops.conv2d(x, np.zeros((2, 1, 1, 1), np.float32), [1.5, -2.0])
