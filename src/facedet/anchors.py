@@ -61,9 +61,8 @@ def generate_anchors(image_w: int, image_h: int) -> AnchorSet:
     descriptor = default_descriptor()
     sizes = descriptor.spatial_sizes(image_h, image_w)
     strides = descriptor.cumulative_strides()
-    parts = []  # per layer, its seven columns in AnchorSet field order
+    parts = []  # per layer, a (7, count) table of the columns in AnchorSet field order
     for li, (layer, scales) in enumerate(ANCHOR_SCALES.items()):
-        rows, cols = sizes[layer]
         stride = strides[layer]
         # (off_x, off_y, side, sub) of each anchor of one cell, in cell order
         off_x, off_y, side, sub = np.array(
@@ -74,11 +73,10 @@ def generate_anchors(image_w: int, image_h: int) -> AnchorSet:
                 for i in range(n)
             ]
         ).T
-        r, c, _ = np.indices((rows, cols, 1), sparse=True)
+        r, c, _ = np.indices((*sizes[layer], 1), sparse=True)
         values = (c * stride + off_x, r * stride + off_y, side, li, r, c, sub)
-        parts.append([np.broadcast_to(v, (rows, cols, len(sub))).ravel() for v in values])
-    columns = list(zip(*parts))
-    floats = [np.concatenate(col, dtype=np.float32) for col in columns[:3]]
-    # sub is float64 in the template, so its cast to int32 is an unsafe one
-    ints = [np.concatenate(col, dtype=np.int32, casting="unsafe") for col in columns[3:]]
+        parts.append(np.stack(np.broadcast_arrays(*values)).reshape(7, -1))
+    # one float64 table; layer, row, col and sub are whole numbers, exact in it
+    table = np.concatenate(parts, axis=1)
+    floats, ints = table[:3].astype(np.float32), table[3:].astype(np.int32)
     return AnchorSet(int(image_w), int(image_h), *floats, *ints)

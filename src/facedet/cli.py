@@ -80,10 +80,12 @@ def _add_postprocess_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path and path != "-":
-        _write_atomic(Path(path), text)
-    else:
+    if not path or path == "-":
         sys.stdout.write(text)
+    elif os.path.isfile(path) or not os.path.lexists(path):  # regular file or new name
+        _write_atomic(Path(os.path.realpath(path)), text)  # at a link's target: links stay
+    else:  # a device, FIFO or dangling link: write through it, as open() does
+        Path(path).write_text(text)
 
 
 def _write_atomic(path: Path, text: str) -> None:

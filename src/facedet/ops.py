@@ -64,12 +64,13 @@ def conv2d(x, weight, bias, stride=1, padding=0) -> np.ndarray:
         raise ValueError(f"conv weight must be 4-d (co, ci, k, k), got {weight.shape}")
     n, ci, h, w = x.shape
     co, wci, k, kw = weight.shape
-    if wci != ci or kw != k:
-        raise ValueError(f"weight {weight.shape} is not square or not for {ci} input channels")
+    if wci != ci:
+        raise ValueError(f"weight expects {wci} input channels, tensor has {ci}")
+    if kw != k:
+        raise ValueError(f"conv weight {weight.shape} is not square")
     if bias.shape != (co,):
         raise ValueError(f"bias must have shape ({co},), got {bias.shape}")
-    oh = conv_output_size(h, k, stride, padding)
-    ow = conv_output_size(w, k, stride, padding)
+    oh, ow = (conv_output_size(size, k, stride, padding) for size in (h, w))
     wmat = weight.reshape(co, ci * k * k)
     out = np.empty((n, co, oh, ow), dtype=DTYPE)
     out_rows = out.reshape(n, co, oh * ow)
@@ -124,8 +125,7 @@ def _pool_shape(x, kernel, stride, padding) -> tuple[int, int, int, int]:
             "outside the input"
         )
     n, c, h, w = x.shape
-    oh = conv_output_size(h, kernel, stride, padding)
-    ow = conv_output_size(w, kernel, stride, padding)
+    oh, ow = (conv_output_size(size, kernel, stride, padding) for size in (h, w))
     return n, c, oh, ow
 
 

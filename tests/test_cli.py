@@ -188,6 +188,26 @@ class TestAnchorsCommand:
         assert out.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
+    def test_out_devnull_writes_through(self, monkeypatch):
+        # a device is written through, never replaced by a renamed temp file;
+        # the atomic writer is stubbed out so a regression cannot replace the
+        # real device node
+        def refuse(path, text):
+            raise AssertionError(f"atomic write to {path}")
+
+        monkeypatch.setattr(cli, "_write_atomic", refuse)
+        assert main(["anchors", "640", "640", "--out", os.devnull]) == 0
+
+    def test_symlinked_out_keeps_link(self, tmp_path):
+        target = tmp_path / "real.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target.name)
+        assert main(["anchors", "640", "640", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text().splitlines()[0] == "anchors w 640 h 640 count 8525"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
     def test_idempotent(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         main(["anchors", "640", "480", "--out", str(a)])

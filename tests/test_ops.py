@@ -35,12 +35,12 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         x = np.zeros((1, 2, 4, 4), np.float32)
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(ValueError, match="expects 3 input channels, tensor has 2"):
             ops.conv2d(x, np.zeros((1, 3, 3, 3), np.float32), [0.0], padding=1)
 
     def test_non_square_weight_raises(self):
         x = np.zeros((1, 2, 8, 8), np.float32)
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match=r"\(4, 2, 3, 5\) is not square"):
             ops.conv2d(x, np.zeros((4, 2, 3, 5), np.float32), np.zeros(4), padding=1)
 
     def test_bias_added(self):
