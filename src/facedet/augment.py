@@ -9,6 +9,7 @@ so a seed pins the whole pipeline bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +25,6 @@ SATURATION_RANGE = (0.5, 1.5)
 CROP_SCALE_RANGE = (0.3, 1.0)
 FLIP_PROB = 0.5
 MIN_BOX_PX = 20.0
-# Bytes per row band of the float64 color and resize chains, so each band's
-# temporaries stay in L2.  On a 2-core Xeon with 2 MiB of L2 per core, 256 KiB
-# beat 64 KiB and 1 MiB on both: apply_color at 1024x768 took 26 ms against
-# 40 and 31 ms, resize_bilinear from 300-768 squares to 1024x1024 20 ms
-# against 25 and 23 ms.
-BAND_BYTES = 1 << 18
 
 
 @dataclass
@@ -68,65 +63,86 @@ def _luma(image: np.ndarray) -> np.ndarray:
     return (image * _LUMA).sum(axis=1, keepdims=True)
 
 
-def _bands(h: int, row_bytes: int) -> list[slice]:
-    """Slices over rows 0..h of about BAND_BYTES each, at least one row."""
-    step = max(1, BAND_BYTES // row_bytes)
-    return [slice(y, min(y + step, h)) for y in range(0, h, step)]
+class ColorDraw(NamedTuple):
+    """The parameters of one random photometric distortion."""
+
+    brightness: float
+    contrast: float
+    saturation: float
+    order: tuple[str, ...]
 
 
-def _luma_mean(image: np.ndarray, bands) -> np.float64:
-    """`_luma(image).mean()`, with the luma built band by band into one
-    (n, 1, h, w) array, so the mean is the same reduction."""
-    n, _, h, w = image.shape
-    luma = np.empty((n, 1, h, w))
-    for s in bands:
-        luma[:, :, s] = _luma(image[:, :, s])
-    return luma.mean()
-
-
-def apply_color(image, brightness: float, contrast: float, saturation: float, order=_COLOR_OPS):
-    """Deterministic photometric transform; clamps to [0, 1] after each op.
-    Identity parameters (0, 1, 1) leave the image untouched.
-
-    Contrast and saturation work in float64 on one working image, a band of
-    rows at a time; a brightness shift before either of them stays float32."""
-    img = ops.as_tensor(image)
-    n, c, h, w = img.shape
-    bands = _bands(h, n * c * w * 8)
-    identity = {"brightness": brightness == 0, "contrast": contrast == 1, "saturation": saturation == 1}
-    for op in order:
-        if op not in identity:
-            raise ValueError(f"unknown color op {op!r}")
-        if identity[op]:
-            continue  # before any buffer is made: an unwritten one must not come back
-        if op == "brightness" and img.dtype == ops.DTYPE:
-            img = img + np.float32(brightness)
-            np.clip(img, 0.0, 1.0, out=img)
-            continue
-        work = img if img.dtype == np.float64 else np.empty(img.shape, np.float64)
-        if op == "brightness":
-            for s in bands:
-                np.clip(img[:, :, s] + np.float32(brightness), 0.0, 1.0, out=work[:, :, s])
-        elif op == "contrast":
-            mean = _luma_mean(img, bands)
-            for s in bands:
-                np.clip((img[:, :, s] - mean) * contrast + mean, 0.0, 1.0, out=work[:, :, s])
-        else:
-            for s in bands:
-                gray = _luma(img[:, :, s])
-                np.clip(gray + (img[:, :, s] - gray) * saturation, 0.0, 1.0, out=work[:, :, s])
-        img = work
-    return img.astype(ops.DTYPE)
-
-
-def color_distort(image, rng: np.random.Generator):
-    """Random brightness shift, contrast and saturation scaling, applied in a
-    random order."""
+def draw_color(rng: np.random.Generator) -> ColorDraw:
+    """A brightness shift, contrast and saturation scales, and a random order
+    of the three."""
     brightness = rng.uniform(-BRIGHTNESS_DELTA, BRIGHTNESS_DELTA)
     contrast = rng.uniform(*CONTRAST_RANGE)
     saturation = rng.uniform(*SATURATION_RANGE)
     order = tuple(_COLOR_OPS[i] for i in rng.permutation(3))
-    return apply_color(image, brightness, contrast, saturation, order)
+    return ColorDraw(brightness, contrast, saturation, order)
+
+
+def _color_chain(x, steps, brightness, contrast, saturation, means) -> np.ndarray:
+    """Run the color ops `steps` on the pixels x, clamping to [0, 1] after
+    each; the i-th contrast scales about means[i].  A brightness shift of a
+    float32 x stays float32, every other op computes in float64."""
+    means = iter(means)
+    for op in steps:  # the first step of each op makes x a new array, the rest work in place
+        if op == "brightness":
+            x = x + np.float32(brightness)
+        elif op == "contrast":
+            mean = next(means)
+            x = x - mean
+            x *= contrast
+            x += mean
+        else:
+            gray = _luma(x)
+            x = x - gray
+            x *= saturation
+            x += gray
+        np.clip(x, 0.0, 1.0, out=x)
+    return x
+
+
+def apply_color(image, brightness: float, contrast: float, saturation: float,
+                order=_COLOR_OPS, crop=None):
+    """Deterministic photometric transform; clamps to [0, 1] after each op and
+    skips identity parameters (0, 1, 1).  With `crop` = (x0, y0, side) only
+    that square is colored, read as a view of `image`.
+
+    Every op works per pixel but contrast, which scales about the luma mean
+    of the whole image as it stands when contrast runs.  So each mean comes
+    from one pass of the ops before it over the whole image, which keeps only
+    the (n, 1, h, w) luma plane, and then the whole chain runs on the output
+    pixels.  Both passes go one band of rows at a time."""
+    for op in order:
+        if op not in _COLOR_OPS:
+            raise ValueError(f"unknown color op {op!r}")
+    img = ops.as_tensor(image)
+    n, c, h, w = img.shape
+    skip = {"brightness": brightness == 0, "contrast": contrast == 1, "saturation": saturation == 1}
+    steps = [op for op in order if not skip[op]]
+    params = (brightness, contrast, saturation)
+    means = []
+    for i, op in enumerate(steps):
+        if op == "contrast":
+            luma = np.empty((n, 1, h, w))
+            for s in ops.bands(h, n * c * w * 8):
+                luma[:, :, s] = _luma(_color_chain(img[:, :, s], steps[:i], *params, means))
+            means.append(luma.mean())  # the one reduction over the whole luma plane
+    if crop is not None:
+        x0, y0, side = crop
+        img = img[:, :, y0 : y0 + side, x0 : x0 + side]
+    out = np.empty(img.shape, ops.DTYPE)
+    for s in ops.bands(out.shape[2], n * c * out.shape[3] * 8):
+        out[:, :, s] = _color_chain(img[:, :, s], steps, *params, means)
+    return out
+
+
+def color_distort(image, color: ColorDraw, crop=None):
+    """The drawn distortion `color` (see draw_color), over the whole image or
+    only its `crop` square; apply_color does the work."""
+    return apply_color(image, *color, crop=crop)
 
 
 def crop_candidates(height, width, rng):
@@ -145,38 +161,46 @@ def crop_candidates(height, width, rng):
     return candidates
 
 
+def crop_boxes(boxes, x0: int, y0: int, side: int) -> np.ndarray:
+    """The boxes whose center falls inside the square patch, clipped to it
+    and re-based to patch coordinates."""
+    if not len(boxes):
+        return np.zeros((0, 4), np.float32)
+    cx = (boxes[:, 0] + boxes[:, 2]) / 2
+    cy = (boxes[:, 1] + boxes[:, 3]) / 2
+    inside = (cx >= x0) & (cx <= x0 + side) & (cy >= y0) & (cy <= y0 + side)
+    kept = boxes[inside].astype(np.float64)
+    kept[:, 0] = np.clip(kept[:, 0], x0, x0 + side) - x0
+    kept[:, 2] = np.clip(kept[:, 2], x0, x0 + side) - x0
+    kept[:, 1] = np.clip(kept[:, 1], y0, y0 + side) - y0
+    kept[:, 3] = np.clip(kept[:, 3], y0, y0 + side) - y0
+    return kept.astype(np.float32)
+
+
 def crop_sample(sample: Sample, x0: int, y0: int, side: int) -> Sample:
-    """Cut the square patch.  Boxes whose center falls inside it survive,
-    clipped to the patch and re-based to patch coordinates."""
+    """Cut the square patch; its boxes are crop_boxes'."""
     img = sample.image[:, :, y0 : y0 + side, x0 : x0 + side].copy()
-    boxes = sample.boxes
-    if len(boxes):
-        cx = (boxes[:, 0] + boxes[:, 2]) / 2
-        cy = (boxes[:, 1] + boxes[:, 3]) / 2
-        inside = (cx >= x0) & (cx <= x0 + side) & (cy >= y0) & (cy <= y0 + side)
-        kept = boxes[inside].astype(np.float64)
-        kept[:, 0] = np.clip(kept[:, 0], x0, x0 + side) - x0
-        kept[:, 2] = np.clip(kept[:, 2], x0, x0 + side) - x0
-        kept[:, 1] = np.clip(kept[:, 1], y0, y0 + side) - y0
-        kept[:, 3] = np.clip(kept[:, 3], y0, y0 + side) - y0
-    else:
-        kept = np.zeros((0, 4))
-    return Sample(img, kept.astype(np.float32), sample.source_id)
+    return Sample(img, crop_boxes(sample.boxes, x0, y0, side), sample.source_id)
+
+
+def draw_crop(height: int, width: int, rng) -> tuple[int, int, int]:
+    """One of the five crop_candidates (x0, y0, side), picked uniformly."""
+    candidates = crop_candidates(height, width, rng)
+    return candidates[int(rng.integers(len(candidates)))]
 
 
 def random_crop(sample: Sample, rng) -> Sample:
-    candidates = crop_candidates(sample.height, sample.width, rng)
-    x0, y0, side = candidates[int(rng.integers(len(candidates)))]
-    return crop_sample(sample, x0, y0, side)
+    return crop_sample(sample, *draw_crop(sample.height, sample.width, rng))
 
 
-def resize_bilinear(image, out_h: int, out_w: int) -> np.ndarray:
+def resize_bilinear(image, out_h: int, out_w: int, flip: bool = False) -> np.ndarray:
     """Bilinear resample with pixel-center alignment; exact copy when the size
-    is unchanged."""
+    is unchanged.  `flip` mirrors the columns, by reading the column taps in
+    reverse: the result equals `out[..., ::-1]` element for element."""
     img = ops.as_tensor(image)
     n, c, h, w = img.shape
     if (h, w) == (out_h, out_w):
-        return img.copy()
+        return img[..., ::-1].copy() if flip else img.copy()
     ys = (np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5
     y0f = np.floor(ys)
@@ -188,21 +212,38 @@ def resize_bilinear(image, out_h: int, out_w: int) -> np.ndarray:
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
     wy0, wy1, wx0 = (1 - fy)[:, None], fy[:, None], 1 - fx
+    if flip:
+        x0, x1, wx0, fx = x0[::-1], x1[::-1], wx0[::-1], fx[::-1]
     out = np.empty((n, c, out_h, out_w), ops.DTYPE)
-    for s in _bands(out_h, n * c * max(w, out_w) * 8):
+    for s in ops.bands(out_h, n * c * max(w, out_w) * 8):
         # np.take keeps C order, where fancy indexing would hand back a transposed layout
-        rows = np.take(img, y0[s], axis=2) * wy0[s] + np.take(img, y1[s], axis=2) * wy1[s]
-        out[:, :, s] = np.take(rows, x0, axis=3) * wx0 + np.take(rows, x1, axis=3) * fx
+        rows = np.take(img, y0[s], axis=2) * wy0[s]
+        rows += np.take(img, y1[s], axis=2) * wy1[s]
+        left = np.take(rows, x0, axis=3)
+        left *= wx0
+        right = np.take(rows, x1, axis=3)
+        right *= fx
+        left += right
+        out[:, :, s] = left
     return out
 
 
-def resize_square(sample: Sample, target: int) -> Sample:
-    """Resize a square patch to target x target; boxes scale along."""
+def _mirror_boxes(boxes: np.ndarray, width: int) -> np.ndarray:
+    """Box x-ranges mapped to (width - x_max, width - x_min)."""
+    out = boxes.copy()
+    if len(boxes):
+        out[:, [0, 2]] = width - boxes[:, [2, 0]]
+    return out
+
+
+def resize_square(sample: Sample, target: int, flip: bool = False) -> Sample:
+    """Resize a square patch to target x target; boxes scale along.  `flip`
+    then mirrors it, as hflip would, without a second pass over the image."""
     if sample.height != sample.width:
         raise ValueError(f"resize_square needs a square patch, got {sample.width}x{sample.height}")
-    img = resize_bilinear(sample.image, target, target)
-    boxes = sample.boxes.astype(np.float64) * (target / sample.height)
-    return Sample(img, boxes.astype(np.float32), sample.source_id)
+    img = resize_bilinear(sample.image, target, target, flip)
+    boxes = (sample.boxes.astype(np.float64) * (target / sample.height)).astype(np.float32)
+    return Sample(img, _mirror_boxes(boxes, target) if flip else boxes, sample.source_id)
 
 
 def hflip(sample: Sample, rng, p: float = FLIP_PROB) -> Sample:
@@ -211,10 +252,7 @@ def hflip(sample: Sample, rng, p: float = FLIP_PROB) -> Sample:
     if rng.random() >= p:
         return sample
     img = np.ascontiguousarray(sample.image[:, :, :, ::-1])
-    boxes = sample.boxes.copy()
-    if len(boxes):
-        boxes[:, [0, 2]] = sample.width - sample.boxes[:, [2, 0]]
-    return Sample(img, boxes, sample.source_id)
+    return Sample(img, _mirror_boxes(sample.boxes, sample.width), sample.source_id)
 
 
 def filter_boxes(sample: Sample) -> Sample:
@@ -228,9 +266,16 @@ def filter_boxes(sample: Sample) -> Sample:
 
 
 def augment_pipeline(sample: Sample, rng, cfg: AugmentConfig = AugmentConfig()) -> Sample:
-    """color_distort -> random_crop -> resize_square -> hflip -> filter_boxes."""
-    out = Sample(color_distort(sample.image, rng), sample.boxes.copy(), sample.source_id)
-    out = random_crop(out, rng)
-    out = resize_square(out, cfg.target_size)
-    out = hflip(out, rng)
-    return filter_boxes(out)
+    """color_distort -> random_crop -> resize_square -> hflip -> filter_boxes,
+    bit for bit, with the pixel work done only where the output needs it.
+
+    Every random parameter is drawn first, in that stage order: the color,
+    the crop, the flip.  Then only the crop is colored (its contrast still
+    scales about the whole image's luma mean), and the resize mirrors it
+    when the draw says flip."""
+    color = draw_color(rng)
+    crop = draw_crop(sample.height, sample.width, rng)
+    flip = rng.random() < FLIP_PROB
+    patch = color_distort(sample.image, color, crop)
+    out = Sample(patch, crop_boxes(sample.boxes, *crop), sample.source_id)
+    return filter_boxes(resize_square(out, cfg.target_size, flip))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import statistics
 import sys
 import time
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import formats, ppm
+from . import fileio, formats, ppm
 from .anchors import generate_anchors
 from .augment import AugmentConfig, Sample, augment_pipeline, resize_bilinear
 from .evaluate import EVAL_IOU_THRESHOLD, evaluate_detections
@@ -82,25 +81,8 @@ def _add_postprocess_flags(p: argparse.ArgumentParser) -> None:
 def _write_text(path: str | None, text: str) -> None:
     if not path or path == "-":
         sys.stdout.write(text)
-    elif os.path.isfile(path) or not os.path.lexists(path):  # regular file or new name
-        _write_atomic(Path(os.path.realpath(path)), text)  # at a link's target: links stay
-    else:  # a device, FIFO or dangling link: write through it, as open() does
-        Path(path).write_text(text)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over `path`,
-    so a failed or interrupted write leaves neither a truncated file nor the
-    temp file.  The umask applies, as for a plain open()."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    else:
+        fileio.write_file(path, text)
 
 
 def cmd_init_weights(args) -> int:
@@ -245,7 +227,7 @@ def cmd_detect(args) -> int:
         if resize:
             sx, sy = orig_w / used_w, orig_h / used_h
             rows[:, :4] *= [sx, sy, sx, sy]
-        _write_atomic(out_path, formats.format_detections(path, orig_w, orig_h, rows))
+        fileio.write_atomic(out_path, formats.format_detections(path, orig_w, orig_h, rows))
         write_ms = (time.perf_counter() - t1) * 1e3
         return out_path, stats, (load_ms, forward_ms, postprocess_ms, write_ms)
 

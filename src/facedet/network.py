@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ops
+from . import fileio, ops
 
 INPUT_NAME = "image"
 # the anchor layout, stated once: per source layer, its square (scale px,
@@ -355,21 +355,20 @@ def save_weights(weights: ModelWeights, path) -> None:
     """Write the FBXW container: magic, u32 version, u64 descriptor
     fingerprint, then per entry: u32 name length + name bytes + 4 u32 dims +
     little-endian float32 weights then bias, in `conv_entries()` order.
-    Weights that `validate_weights` rejects raise before the file is opened."""
+    Weights that `validate_weights` rejects raise before anything is written;
+    the file goes through fileio.write_file, so a failed write leaves no torn
+    file."""
     descriptor = default_descriptor()
     validate_weights(weights, descriptor)
-    with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC)
-        f.write(struct.pack("<I", WEIGHTS_VERSION))
-        f.write(struct.pack("<Q", weights.descriptor_fingerprint))
-        for name, _ in descriptor.conv_entries():
-            w, b = weights.entries[name]
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<4I", *w.shape))
-            f.write(np.ascontiguousarray(w, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+    chunks = [WEIGHTS_MAGIC, struct.pack("<I", WEIGHTS_VERSION),
+              struct.pack("<Q", weights.descriptor_fingerprint)]
+    for name, _ in descriptor.conv_entries():
+        w, b = weights.entries[name]
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(encoded)), encoded, struct.pack("<4I", *w.shape),
+                   np.ascontiguousarray(w, dtype="<f4").tobytes(),
+                   np.ascontiguousarray(b, dtype="<f4").tobytes()]
+    fileio.write_file(path, b"".join(chunks))
 
 
 def load_weights(path, descriptor: NetworkDescriptor | None = None) -> ModelWeights:

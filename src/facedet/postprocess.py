@@ -66,9 +66,11 @@ def decode_all(heads: HeadOutputs, anchor_set: AnchorSet) -> tuple[np.ndarray, n
         raise ValueError(f"heads predict {loc.shape[0]} slots but {len(anchor_set)} anchors exist")
     loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / SIZE_VARIANCE)
     boxes = decode_boxes(anchor_set.center_sizes(), loc).astype(np.float32)
-    shifted = conf - conf.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    scores = (e[:, 1] / e.sum(axis=1)).astype(np.float32)
+    # the two-class softmax on columns: numpy reduces a length-2 axis slowly
+    c0, c1 = conf[:, 0], conf[:, 1]
+    m = np.maximum(c0, c1)
+    e0, e1 = np.exp(c0 - m), np.exp(c1 - m)
+    scores = (e1 / (e0 + e1)).astype(np.float32)
     return boxes, scores
 
 

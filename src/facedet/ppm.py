@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import network, ops
+from . import fileio, network, ops
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
@@ -61,6 +61,5 @@ def write_ppm(path, image) -> None:
         raise ValueError(f"write_ppm expects a (1, 3, h, w) tensor, got {img.shape}")
     h, w = img.shape[2], img.shape[3]
     raster = np.rint(np.clip(img[0], 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(raster.transpose(1, 2, 0).tobytes())
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    fileio.write_file(path, header + raster.transpose(1, 2, 0).tobytes())

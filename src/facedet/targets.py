@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .anchors import AnchorSet
 
 MATCH_THRESHOLD = 0.35
@@ -50,11 +51,23 @@ def center_size_to_corner(cs) -> np.ndarray:
 
 
 def pairwise_jaccard(boxes_a, boxes_b) -> np.ndarray:
-    """IoU matrix (len(a), len(b)) of corner boxes; 0 wherever the union is empty."""
+    """IoU matrix (len(a), len(b)) of corner boxes; 0 wherever the union is
+    empty.  Filled one band of rows of `a` at a time (ops.bands), so the
+    temporaries of a 21,824 x 60 matrix stay in cache; every element takes
+    the same steps whatever the band."""
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    # three (len(a), len(b)) float buffers; every step writes into one of them
-    inter = np.minimum(a[:, None, 2], b[None, :, 2])
+    iou = np.empty((a.shape[0], b.shape[0]))
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    for s in ops.bands(a.shape[0], iou.itemsize * b.shape[0]):
+        _jaccard_band(a[s], b, area_b, iou[s])
+    return iou
+
+
+def _jaccard_band(a, b, area_b, iou) -> None:
+    """Write the IoUs of the boxes a against b into iou."""
+    # two more (len(a), len(b)) float buffers; every step writes into one of the three
+    inter = np.minimum(a[:, None, 2], b[None, :, 2], out=iou)
     low = np.maximum(a[:, None, 0], b[None, :, 0])
     np.clip(np.subtract(inter, low, out=inter), 0, None, out=inter)
     iy = np.minimum(a[:, None, 3], b[None, :, 3])
@@ -62,15 +75,13 @@ def pairwise_jaccard(boxes_a, boxes_b) -> np.ndarray:
     np.clip(np.subtract(iy, low, out=iy), 0, None, out=iy)
     inter *= iy
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = np.add(area_a[:, None], area_b[None, :], out=iy)
     union -= inter
     empty = ~(union > 0)
     # a plain divide then a masked store: numpy's divide(where=) is ~5x slower
     with np.errstate(divide="ignore", invalid="ignore"):
-        iou = np.divide(inter, union, out=inter)
-    iou[empty] = 0.0
-    return iou
+        np.divide(inter, union, out=inter)
+    inter[empty] = 0.0
 
 
 def encode_boxes(anchors_cs, gt_corner) -> np.ndarray:
@@ -170,17 +181,24 @@ def hard_negative_mine(per_anchor_cls_loss, targets: TrainingTargets) -> np.ndar
     quota = min(NEGATIVES_PER_POSITIVE * p, negatives.size) if p else min(1, negatives.size)
     mask = np.zeros(len(targets), dtype=bool)
     if quota:
-        order = negatives[np.argsort(-loss[negatives], kind="stable")]
-        mask[order[:quota]] = True
+        # the quota-th smallest -loss bounds the candidates; ~(> kth) keeps
+        # NaN too, so the stable sort over them orders the first `quota` as a
+        # stable sort over every negative would
+        key = -loss[negatives]
+        kth = np.partition(key, quota - 1)[quota - 1]
+        head = np.flatnonzero(~(key > kth))
+        mask[negatives[head[np.argsort(key[head], kind="stable")[:quota]]]] = True
     return mask
 
 
 def softmax_cross_entropy(logits, labels) -> np.ndarray:
-    """Per-row 2-class cross entropy, max-subtracted for stability."""
+    """Per-row 2-class cross entropy, max-subtracted for stability, computed
+    on the two columns.  A label outside {0, 1} raises IndexError."""
     z = np.asarray(logits, dtype=np.float64).reshape(-1, 2)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    z0, z1 = z[:, 0], z[:, 1]
+    m = np.maximum(z0, z1)
+    lse = m + np.log(np.exp(z0 - m) + np.exp(z1 - m))
     return lse - z[np.arange(z.shape[0]), y]
 
 

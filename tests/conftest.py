@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -92,6 +93,27 @@ def grid_anchors(image_w: int, image_h: int, stride: int, side: int) -> AnchorSe
         col=cc,
         sub_index=zeros,
     )
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every file opened through os.fdopen (the atomic writer's temp file)
+    takes half of its first write, then fails with ENOSPC."""
+    fdopen = os.fdopen
+
+    def failing(fd, *args, **kwargs):
+        f = fdopen(fd, *args, **kwargs)
+        write = f.write
+
+        def dies_halfway(data):
+            write(data[: len(data) // 2])
+            f.flush()
+            raise OSError(28, "No space left on device")
+
+        f.write = dies_halfway
+        return f
+
+    monkeypatch.setattr(os, "fdopen", failing)
 
 
 @pytest.fixture(scope="session")

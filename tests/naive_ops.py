@@ -2,6 +2,9 @@
 channel softmax the decoded face scores are checked against, the
 fancy-indexing bilinear resize and whole-image color transform that
 `augment.resize_bilinear` and `augment.apply_color` must match bit for bit,
+the stage-by-stage augmentation `augment.augment_pipeline` must match bit
+for bit, the row-wise cross entropy and full-sort mining that
+`targets.softmax_cross_entropy` and `targets.hard_negative_mine` must match,
 and the stacked anchor construction `anchors.generate_anchors` must match
 bit for bit.
 
@@ -11,6 +14,7 @@ output-size formula, so the tests can use them as independent oracles.
 
 import numpy as np
 
+from facedet import augment as ag
 from facedet.anchors import AnchorSet
 from facedet.network import ANCHOR_SCALES, default_descriptor
 from facedet.ops import DTYPE, as_tensor, conv_output_size
@@ -155,6 +159,50 @@ def apply_color_unbanded(image, brightness: float, contrast: float, saturation: 
             raise ValueError(f"unknown color op {op!r}")
         img = np.clip(img, 0.0, 1.0)
     return img.astype(DTYPE)
+
+
+def augment_pipeline_staged(sample, rng, cfg):
+    """`augment.augment_pipeline` as first written: each stage runs on the
+    whole output of the one before, drawing from `rng` as it goes.  The
+    whole source is colored (apply_color_unbanded, with the draw color_distort
+    always made), then random_crop copies the crop, resize_square resizes it,
+    hflip copies it mirrored, and filter_boxes drops small boxes.  Test oracle
+    only."""
+    brightness = rng.uniform(-ag.BRIGHTNESS_DELTA, ag.BRIGHTNESS_DELTA)
+    contrast = rng.uniform(*ag.CONTRAST_RANGE)
+    saturation = rng.uniform(*ag.SATURATION_RANGE)
+    order = tuple(ag._COLOR_OPS[i] for i in rng.permutation(3))
+    image = apply_color_unbanded(sample.image, brightness, contrast, saturation, order)
+    out = ag.Sample(image, sample.boxes.copy(), sample.source_id)
+    out = ag.random_crop(out, rng)
+    out = ag.resize_square(out, cfg.target_size)
+    out = ag.hflip(out, rng)
+    return ag.filter_boxes(out)
+
+
+def softmax_cross_entropy_rows(logits, labels) -> np.ndarray:
+    """`targets.softmax_cross_entropy` as first written, reducing each (N, 2)
+    row along its length-2 axis.  Test oracle only."""
+    z = np.asarray(logits, dtype=np.float64).reshape(-1, 2)
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    m = z.max(axis=1)
+    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    return lse - z[np.arange(z.shape[0]), y]
+
+
+def hard_negative_mine_sorted(loss, labels) -> np.ndarray:
+    """`targets.hard_negative_mine` as first written: one stable sort of every
+    negative by descending loss, then the first 3 per positive (1 when there
+    is none).  Test oracle only."""
+    loss = np.asarray(loss, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels, dtype=bool)
+    negatives = np.flatnonzero(~labels)
+    p = int(labels.sum())
+    quota = min(3 * p, negatives.size) if p else min(1, negatives.size)
+    mask = np.zeros(labels.shape[0], dtype=bool)
+    order = negatives[np.argsort(-loss[negatives], kind="stable")]
+    mask[order[:quota]] = True
+    return mask
 
 
 def generate_anchors_stacked(image_w: int, image_h: int) -> AnchorSet:

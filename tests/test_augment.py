@@ -5,10 +5,10 @@ import pytest
 
 from facedet import augment as ag
 from facedet import network, ops
-from naive_ops import apply_color_unbanded, resize_bilinear_fancy
+from naive_ops import apply_color_unbanded, augment_pipeline_staged, resize_bilinear_fancy
 
 # one row per band, the default, and the whole image as one band
-BAND_BYTES_CASES = (1, ag.BAND_BYTES, 1 << 40)
+BAND_BYTES_CASES = (1, ops.BAND_BYTES, 1 << 40)
 COLOR_ORDERS = list(itertools.permutations(ag._COLOR_OPS))
 
 
@@ -31,13 +31,13 @@ class TestColorDistort:
         rng = np.random.default_rng(0)
         img = checker_image(16, 16)
         for _ in range(20):
-            out = ag.color_distort(img, rng)
+            out = ag.color_distort(img, ag.draw_color(rng))
             assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_same_seed_identical(self):
         img = checker_image(12, 12)
-        a = ag.color_distort(img, np.random.default_rng(5))
-        b = ag.color_distort(img, np.random.default_rng(5))
+        a = ag.color_distort(img, ag.draw_color(np.random.default_rng(5)))
+        b = ag.color_distort(img, ag.draw_color(np.random.default_rng(5)))
         np.testing.assert_array_equal(a, b)
 
     def test_brightness_shifts(self):
@@ -54,7 +54,7 @@ class TestColorDistort:
     def test_boxes_never_touched(self):
         s = sample(boxes=[[10, 10, 40, 40]])
         rng = np.random.default_rng(1)
-        out = ag.Sample(ag.color_distort(s.image, rng), s.boxes, s.source_id)
+        out = ag.Sample(ag.color_distort(s.image, ag.draw_color(rng)), s.boxes, s.source_id)
         np.testing.assert_array_equal(out.boxes, s.boxes)
 
     def test_unknown_op_rejected(self):
@@ -74,12 +74,36 @@ class TestColorDistort:
         for order in COLOR_ORDERS:
             expected = apply_color_unbanded(img, *params, order=order)
             for band_bytes in BAND_BYTES_CASES:
-                monkeypatch.setattr(ag, "BAND_BYTES", band_bytes)
+                monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
                 out = ag.apply_color(img, *params, order=order)
                 np.testing.assert_array_equal(
                     out.view(np.uint32), expected.view(np.uint32), err_msg=f"{order} {band_bytes}"
                 )
                 assert out.dtype == np.float32 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("crop", [(0, 0, 40), (3, 5, 17), (60, 20, 20), (25, 40, 35), (0, 0, 1)])
+    @pytest.mark.parametrize("params", [(0.07, 1.3, 0.6), (-0.09, 0.7, 1.4), (0.07, 1.0, 0.6)])
+    def test_crop_matches_cropped_whole_image_bit_for_bit(self, monkeypatch, params, crop):
+        # contrast's mean is the whole image's, every other op is per pixel;
+        # (60, 20, 20) and (25, 40, 35) touch the right and the bottom edge
+        img = checker_image(75, 80, seed=3)
+        x0, y0, side = crop
+        for order in COLOR_ORDERS:
+            expected = apply_color_unbanded(img, *params, order=order)[:, :, y0 : y0 + side, x0 : x0 + side]
+            for band_bytes in BAND_BYTES_CASES:
+                monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
+                out = ag.apply_color(img, *params, order=order, crop=crop)
+                np.testing.assert_array_equal(
+                    out.view(np.uint32), expected.view(np.uint32), err_msg=f"{order} {band_bytes}"
+                )
+                assert out.dtype == np.float32 and out.flags.c_contiguous
+
+    def test_repeated_contrast_takes_each_mean_in_turn(self):
+        img = checker_image(30, 40, seed=4)
+        order = ("contrast", "saturation", "contrast")
+        expected = apply_color_unbanded(img, 0.0, 1.4, 0.5, order=order)[:, :, 5:25, 10:30]
+        out = ag.apply_color(img, 0.0, 1.4, 0.5, order=order, crop=(10, 5, 20))
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
 
 
 class TestRandomCrop:
@@ -176,12 +200,39 @@ class TestResize:
         img = checker_image(*size, seed=size[0])
         expected = resize_bilinear_fancy(img, *out_size)
         for band_bytes in BAND_BYTES_CASES:
-            monkeypatch.setattr(ag, "BAND_BYTES", band_bytes)
+            monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
             out = ag.resize_bilinear(img, *out_size)
             np.testing.assert_array_equal(
                 out.view(np.uint32), expected.view(np.uint32), err_msg=str(band_bytes)
             )
             assert out.dtype == np.float32 and out.flags.c_contiguous
+
+
+    @pytest.mark.parametrize(
+        "size,out_size",
+        [((300, 300), (1024, 1024)), ((1024, 1024), (512, 512)), ((517, 999), (700, 260)),
+         ((64, 64), (64, 64)), ((1, 1), (4, 4)), ((40, 40), (1, 1))],
+    )
+    def test_flip_mirrors_columns_bit_for_bit(self, monkeypatch, size, out_size):
+        # reversed column taps give out[..., ::-1] element for element, the
+        # unchanged size (the copy path) included
+        img = checker_image(*size, seed=size[1])
+        expected = resize_bilinear_fancy(img, *out_size)[..., ::-1]
+        for band_bytes in BAND_BYTES_CASES:
+            monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
+            out = ag.resize_bilinear(img, *out_size, flip=True)
+            np.testing.assert_array_equal(
+                out.view(np.uint32), expected.view(np.uint32), err_msg=str(band_bytes)
+            )
+            assert out.dtype == np.float32 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("side,target", [(90, 128), (128, 128)])
+    def test_resize_square_flip_is_hflip(self, side, target):
+        s = sample(side, side, boxes=[[3, 5, 40, 60], [50, 10, 90, 30]], seed=side)
+        want = ag.hflip(ag.resize_square(s, target), np.random.default_rng(0), p=1.0)
+        out = ag.resize_square(s, target, flip=True)
+        np.testing.assert_array_equal(out.image.view(np.uint32), want.image.view(np.uint32))
+        np.testing.assert_array_equal(out.boxes.view(np.uint32), want.boxes.view(np.uint32))
 
 
 class TestHFlip:
@@ -318,6 +369,70 @@ class TestPipeline:
             out = ag.augment_pipeline(s, np.random.default_rng(seed), ag.AugmentConfig(256))
             assert out.image.flags.c_contiguous
         assert copied == []
+
+    def test_matches_staged_oracle_bit_for_bit(self, monkeypatch):
+        # every draw first, color on the crop only and the flip inside the
+        # resize give the stage-by-stage output bit for bit; the draws are
+        # peeked from a twin rng to check that each case below came up
+        shapes = [(64, 80), (80, 64), (64, 64), (50, 120), (97, 61), (71, 93)]
+        seen = set()
+        for seed in range(60):
+            h, w = shapes[seed % len(shapes)]
+            if seed >= 48:  # contrast absent: its draw is exactly 1
+                monkeypatch.setattr(ag, "CONTRAST_RANGE", (1.0, 1.0))
+            if seed % 5 == 4:
+                monkeypatch.setattr(ops, "BAND_BYTES", 1)
+            box_rng = np.random.default_rng([seed, 1])
+            xy = box_rng.uniform(-10, [w, h], (6, 2))
+            boxes = np.hstack([xy, xy + box_rng.uniform(5, 60, (6, 2))]).astype(np.float32)
+            s = ag.Sample(checker_image(h, w, seed), boxes, "src")
+            cfg = ag.AugmentConfig(target_size=64)
+            want = augment_pipeline_staged(s, np.random.default_rng(seed), cfg)
+            out = ag.augment_pipeline(s, np.random.default_rng(seed), cfg)
+            np.testing.assert_array_equal(out.image.view(np.uint32), want.image.view(np.uint32))
+            np.testing.assert_array_equal(out.boxes.view(np.uint32), want.boxes.view(np.uint32))
+            assert out.image.flags.c_contiguous and out.source_id == "src"
+            monkeypatch.undo()
+
+            twin = np.random.default_rng(seed)
+            color = ag.draw_color(twin)
+            x0, y0, side = ag.draw_crop(h, w, twin)
+            flip = twin.random() < ag.FLIP_PROB
+            seen.add(f"contrast {color.order.index('contrast')}" if seed < 48 else "no contrast")
+            seen.add("flip" if flip else "no flip")
+            seen |= {"copy path, flipped"} if side == 64 and flip else set()
+            seen |= {"right edge"} if x0 + side == w else set()
+            seen |= {"bottom edge"} if y0 + side == h else set()
+        assert seen == {"contrast 0", "contrast 1", "contrast 2", "no contrast", "flip", "no flip",
+                        "copy path, flipped", "right edge", "bottom edge"}
+
+    def test_full_size_source_matches_staged_oracle(self):
+        img = checker_image(768, 1024, seed=9)
+        s = ag.Sample(img, [[100, 100, 200, 220], [500, 300, 560, 380], [900, 600, 1024, 768]])
+        for seed in range(3):
+            want = augment_pipeline_staged(s, np.random.default_rng(seed), ag.AugmentConfig())
+            out = ag.augment_pipeline(s, np.random.default_rng(seed))
+            np.testing.assert_array_equal(out.image.view(np.uint32), want.image.view(np.uint32))
+            np.testing.assert_array_equal(out.boxes.view(np.uint32), want.boxes.view(np.uint32))
+
+    def test_stages_called_through_module(self, monkeypatch):
+        # tracers and tests that swap a stage on the module see every call
+        calls = []
+
+        def watch(name):
+            fn = getattr(ag, name)
+
+            def watched(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(ag, name, watched)
+
+        for name in ("draw_color", "draw_crop", "color_distort", "resize_square", "filter_boxes"):
+            watch(name)
+        ag.augment_pipeline(sample(90, 120, boxes=[[10, 10, 60, 60]]), np.random.default_rng(0),
+                            ag.AugmentConfig(64))
+        assert calls == ["draw_color", "draw_crop", "color_distort", "resize_square", "filter_boxes"]
 
     def test_source_id_carried(self):
         s = ag.Sample(checker_image(150, 150), np.zeros((0, 4)), source_id="img7")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facedet import augment, cli, formats, network, ops, ppm
+from facedet import augment, cli, fileio, formats, network, ops, ppm
 from facedet.cli import main
 from facedet.evaluate import EVAL_IOU_THRESHOLD
 from facedet.network import ModelWeights, save_weights
@@ -195,7 +195,7 @@ class TestAnchorsCommand:
         def refuse(path, text):
             raise AssertionError(f"atomic write to {path}")
 
-        monkeypatch.setattr(cli, "_write_atomic", refuse)
+        monkeypatch.setattr(fileio, "write_atomic", refuse)
         assert main(["anchors", "640", "640", "--out", os.devnull]) == 0
 
     def test_symlinked_out_keeps_link(self, tmp_path):

@@ -111,6 +111,16 @@ class TestPpm:
         back = ppm.read_ppm(path)
         np.testing.assert_allclose(back, img, atol=1 / 510)
 
+    def test_failed_write_keeps_old_file(self, tmp_path, full_disk):
+        # the write dies halfway: the image already there stays whole and the
+        # temp file beside it is removed
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03")
+        with pytest.raises(OSError, match="No space left"):
+            ppm.write_ppm(path, np.full((1, 3, 64, 64), 0.5, np.float32))
+        assert path.read_bytes() == b"P6\n1 1\n255\n\x01\x02\x03"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.ppm"]
+
     def test_header_comments_ok(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n2 1\n# another\n255\n" + bytes(6))

@@ -289,6 +289,14 @@ class TestWeightSerialization:
             save_weights(network.ModelWeights(random_weights.entries, 12345), path)
         assert not path.exists()
 
+    def test_failed_write_keeps_old_file(self, tmp_path, random_weights, full_disk):
+        path = tmp_path / "m.fbxw"
+        path.write_bytes(b"old weights")
+        with pytest.raises(OSError, match="No space left"):
+            save_weights(random_weights, path)
+        assert path.read_bytes() == b"old weights"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.fbxw"]
+
     def test_save_deterministic(self, tmp_path, descriptor):
         p1, p2 = tmp_path / "a.fbxw", tmp_path / "b.fbxw"
         save_weights(xavier_init(descriptor, 7), p1)

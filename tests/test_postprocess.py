@@ -153,6 +153,19 @@ class TestDecodeAll:
         want = softmax_pairs(conf)[0, 1].reshape(-1)
         np.testing.assert_allclose(scores, want, atol=1e-6)
 
+    @pytest.mark.parametrize("cols,rows", [(55, 155), (176, 124), (500, 400)])
+    def test_scores_match_softmax_pairs_bit_for_bit(self, cols, rows):
+        # 8,525, 21,824 and 200,000 rows: the column softmax computes each
+        # score as the paired-channel one does
+        aset = grid_anchors(cols * 8, rows * 8, 8, 8)
+        rng = np.random.default_rng(cols)
+        conf = (rng.standard_normal((1, 2, rows, cols)) * rng.choice([0.1, 3, 40], (1, 2, rows, cols)))
+        conf = conf.astype(np.float32)
+        loc = np.zeros((1, 4, rows, cols), np.float32)
+        _, scores = pp.decode_all(single_layer_heads(loc, conf), aset)
+        want = softmax_pairs(conf)[0, 1].reshape(-1)
+        np.testing.assert_array_equal(scores.view(np.uint32), want.view(np.uint32))
+
     def test_non_finite_head_named(self):
         conf = np.zeros((1, 2, 8, 8), np.float32)
         conf[0, 1, 3, 4] = np.nan

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from facedet import ops
 from facedet import targets as tg
+from facedet.anchors import generate_anchors
 from facedet.targets import TrainingTargets
 
 from conftest import decode_box, encode_box, jaccard
+from naive_ops import hard_negative_mine_sorted, softmax_cross_entropy_rows
 
 
 def brute_force_match(anchor_corners, gt_boxes, threshold):
@@ -114,6 +117,29 @@ class TestJaccard:
         for i in range(6):
             for j in range(4):
                 assert matrix[i, j] == pytest.approx(jaccard(boxes_a[i], boxes_b[j]))
+
+
+    @pytest.mark.parametrize("faces", [1, 5, 60])
+    def test_bands_match_one_band_bit_for_bit(self, monkeypatch, faces):
+        # one row per band, the default, and the whole matrix as one band;
+        # faces repeat, cross the image edge and hold a zero-area box
+        rng = np.random.default_rng(faces)
+        corners = tg.center_size_to_corner(generate_anchors(320, 256).center_sizes())
+        xy = rng.uniform(-40, 300, (faces, 2))
+        gt = np.hstack([xy, xy + rng.uniform(8, 200, (faces, 2))])
+        gt[faces // 2] = gt[0]
+        gt[-1] = [50, 50, 50, 80]
+        monkeypatch.setattr(ops, "BAND_BYTES", 1 << 40)
+        expected = tg.pairwise_jaccard(corners, gt)
+        for band_bytes in (1, 1 << 18):
+            monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
+            out = tg.pairwise_jaccard(corners, gt)
+            np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("a,b", [(0, 3), (5, 0), (0, 0)])
+    def test_empty_side_gives_empty_matrix(self, a, b):
+        out = tg.pairwise_jaccard(np.ones((a, 4)), np.ones((b, 4)))
+        assert out.shape == (a, b) and out.dtype == np.float64
 
 
 class TestMatchAnchors:
@@ -276,8 +302,51 @@ class TestHardNegativeMining:
         with pytest.raises(ValueError):
             tg.hard_negative_mine(np.ones(3), _targets([False] * 4))
 
+    def test_matches_full_sort_oracle(self):
+        # partition, then a stable sort of the candidates only: the same mask
+        # as one stable sort of every negative, through heavy ties, NaN, +-inf
+        # and -0.0, and quotas of 0, 1, some and all negatives
+        rng = np.random.default_rng(3)
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0])
+        quotas = set()
+        for trial in range(1200):
+            n = int(rng.integers(1, 200))
+            labels = rng.random(n) < rng.choice([0.0, 0.05, 0.3, 1.0])
+            loss = [
+                rng.random(n),
+                rng.integers(0, 3, n).astype(np.float64),
+                rng.choice(specials, n),
+                np.where(rng.random(n) < 0.3, rng.choice(specials, n), rng.random(n)),
+            ][trial % 4]
+            want = hard_negative_mine_sorted(loss, labels)
+            got = tg.hard_negative_mine(loss, _targets(labels))
+            np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
+            negatives = int((~labels).sum())
+            quotas.add("0" if not want.any() else "1" if want.sum() == 1 else
+                       "all" if want.sum() == negatives else "some")
+        assert quotas == {"0", "1", "some", "all"}
+
 
 class TestDetectionLoss:
+    def test_cross_entropy_matches_row_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for scale in (0.1, 2.0, 30.0, 800.0):
+            z = rng.normal(0, scale, (21824, 2))
+            y = rng.integers(0, 2, 21824)
+            want = softmax_cross_entropy_rows(z, y)
+            got = tg.softmax_cross_entropy(z, y)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        z = np.array([[np.nan, 0.0], [np.inf, 1.0], [-np.inf, 1.0], [-0.0, 0.0], [3.0, 3.0]])
+        y = np.array([0, 1, 1, 0, 1])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(
+                tg.softmax_cross_entropy(z, y), softmax_cross_entropy_rows(z, y)
+            )
+
+    def test_cross_entropy_rejects_label_two(self):
+        with pytest.raises(IndexError):
+            tg.softmax_cross_entropy(np.zeros((3, 2)), [0, 2, 1])
+
     def test_smooth_l1_closed_form(self):
         np.testing.assert_allclose(tg.smooth_l1([0.5, 2.0, -2.0]), [0.125, 1.5, 1.5])
 
