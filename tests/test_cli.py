@@ -163,26 +163,11 @@ class TestAnchorsCommand:
         assert captured.out == ""
         assert "4097x4096" in captured.err and "cap of 16777216 pixels" in captured.err
 
-    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, capsys):
+    def test_failed_write_keeps_old_file(self, tmp_path, full_disk, capsys):
         # the write dies halfway; the file already at --out stays as it was
         # and the temp file beside it is removed
         out = tmp_path / "a.txt"
         out.write_text("old\n")
-        fdopen = os.fdopen
-
-        def failing(fd, *args, **kwargs):
-            f = fdopen(fd, *args, **kwargs)
-            write = f.write
-
-            def dies_halfway(text):
-                write(text[: len(text) // 2])
-                f.flush()
-                raise OSError(28, "No space left on device")
-
-            f.write = dies_halfway
-            return f
-
-        monkeypatch.setattr(os, "fdopen", failing)
         assert main(["anchors", "640", "640", "--out", str(out)]) == 2
         assert "No space left on device" in capsys.readouterr().err
         assert out.read_text() == "old\n"
