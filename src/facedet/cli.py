@@ -48,10 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_mean(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"--mean needs three comma-separated values, got {text!r}")
-    return np.array(parts, dtype=np.float32).reshape(1, 3, 1, 1)
+    with np.errstate(over="ignore"):  # a float32 overflow is rejected below as inf
+        mean = np.array([float(v) for v in text.split(",")], dtype=np.float32)
+    if mean.shape != (3,) or not np.isfinite(mean).all():
+        raise argparse.ArgumentTypeError(f"needs three finite comma-separated values, got {text!r}")
+    return mean.reshape(1, 3, 1, 1)
 
 
 def _parse_size(text: str) -> tuple[int, int]:

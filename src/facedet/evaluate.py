@@ -86,7 +86,7 @@ def tpr_at_fp(tp, fp, total_faces: int, fp_budgets) -> dict[float, float]:
         raise ValueError(f"total_faces must be positive, got {total_faces}")
     result: dict[float, float] = {}
     for budget in fp_budgets:
-        if budget <= 0:
+        if not budget > 0:  # also NaN
             raise ValueError(f"fp budget must be positive, got {budget}")
         over = np.flatnonzero(fp > budget)
         cut = int(over[0]) if over.size else len(fp)

@@ -84,7 +84,7 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkDescriptor:
-    """Ordered, acyclic layer list plus the names of the anchor-source layers.
+    """Ordered, acyclic layer list.
 
     A crelu layer is never run on its own: the pool reading it applies C.ReLU
     after pooling, to fewer cells.  So every pool reads a crelu layer and
@@ -92,7 +92,6 @@ class NetworkDescriptor:
     """
 
     layers: tuple[LayerSpec, ...]
-    anchor_sources: tuple[str, ...]
 
     def __post_init__(self):
         kinds = {INPUT_NAME: "input"}
@@ -110,9 +109,6 @@ class NetworkDescriptor:
                     "may read one"
                 )
             kinds[layer.name] = layer.kind
-        for src in self.anchor_sources:
-            if src not in kinds:
-                raise ValueError(f"anchor source {src!r} is not a layer")
 
     def conv_entries(self) -> tuple[WeightEntry, ...]:
         """All parameterized convolutions, in serialization order; Inception
@@ -132,8 +128,8 @@ class NetworkDescriptor:
     def spatial_sizes(self, height: int, width: int) -> dict[str, tuple[int, int]]:
         """(h, w) of every layer output for the given input size.
 
-        Raises ValueError for an input below MIN_INPUT_SIZE on either side, or
-        naming the first layer whose output would collapse.
+        Raises ValueError for an input below MIN_INPUT_SIZE on either side; at
+        that size the Conv4_2 heads reach 1x1, so no layer output collapses.
         """
         if min(height, width) < MIN_INPUT_SIZE:
             raise ValueError(
@@ -145,14 +141,8 @@ class NetworkDescriptor:
             h, w = sizes[layer.source]
             if layer.kernel:
                 k, s, p = layer.kernel, layer.stride, layer.padding
-                try:
-                    h = ops.conv_output_size(h, k, s, p)
-                    w = ops.conv_output_size(w, k, s, p)
-                except ValueError as e:
-                    raise ValueError(
-                        f"input {width}x{height} is too small: layer {layer.name!r} "
-                        f"would be degenerate ({e})"
-                    ) from e
+                h = ops.conv_output_size(h, k, s, p)
+                w = ops.conv_output_size(w, k, s, p)
             sizes[layer.name] = (h, w)
         return sizes
 
@@ -173,7 +163,7 @@ class NetworkDescriptor:
                 f"{layer.name};{layer.kind};{layer.source};{geom};"
                 f"{layer.in_channels};{layer.out_channels};{int(layer.relu)}\n".encode()
             )
-        h.update(",".join(self.anchor_sources).encode())
+        h.update(",".join(ANCHOR_SOURCES).encode())
         return int.from_bytes(h.digest(), "little")
 
 
@@ -210,7 +200,7 @@ def build_network() -> NetworkDescriptor:
         for suffix, out_c in (("loc", 4 * a), ("conf", 2 * a)):
             layers.append(LayerSpec(f"{src}.{suffix}", "head", src, in_c, out_c, 3, 1))
 
-    return NetworkDescriptor(tuple(layers), ANCHOR_SOURCES)
+    return NetworkDescriptor(tuple(layers))
 
 
 @lru_cache(maxsize=1)
@@ -293,11 +283,10 @@ def inception_forward(x, branch_weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeadOutputs:
-    """Raw per-source head maps: loc (n, 4A, h, w) and conf (n, 2A, h, w)."""
+    """Raw head outputs as anchor rows in AnchorSet order: loc (n, N, 4), conf (n, N, 2)."""
 
-    sources: tuple[str, ...]
-    loc: dict[str, np.ndarray]
-    conf: dict[str, np.ndarray]
+    loc: np.ndarray
+    conf: np.ndarray
 
 
 def check_input_pixels(height: int, width: int) -> None:
@@ -310,7 +299,7 @@ def check_input_pixels(height: int, width: int) -> None:
 
 
 def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> HeadOutputs:
-    """Run the graph on an NCHW image batch and collect the raw head maps.
+    """Run the graph on an NCHW image batch and collect the heads as anchor rows.
 
     Pure and deterministic; the compute cost depends only on the image size,
     never on its content.
@@ -323,7 +312,7 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
     first = descriptor.layers[0]
     if image.shape[1] != first.in_channels:
         raise ValueError(f"expected {first.in_channels}-channel input, got {image.shape[1]}")
-    # rejects an input below the size floor or one that collapses a layer
+    # rejects an input below the size floor
     descriptor.spatial_sizes(image.shape[2], image.shape[3])
 
     acts: dict[str, np.ndarray] = {INPUT_NAME: image}
@@ -346,9 +335,11 @@ def forward(weights: ModelWeights, descriptor: NetworkDescriptor, image) -> Head
                 y = ops.relu(y)
         acts[layer.name] = y
 
-    loc = {src: acts[f"{src}.loc"] for src in descriptor.anchor_sources}
-    conf = {src: acts[f"{src}.conf"] for src in descriptor.anchor_sources}
-    return HeadOutputs(descriptor.anchor_sources, loc, conf)
+    def rows(kind, k):  # each (n, k*A, h, w) head map is h*w*A rows of k per image
+        maps = (acts[f"{src}.{kind}"] for src in ANCHOR_SOURCES)
+        return np.concatenate([m.transpose(0, 2, 3, 1).reshape(len(m), -1, k) for m in maps], 1)
+
+    return HeadOutputs(rows("loc", 4), rows("conf", 2))
 
 
 def save_weights(weights: ModelWeights, path) -> None:

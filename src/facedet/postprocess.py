@@ -1,4 +1,4 @@
-"""From raw head maps to detections: decode every anchor, filter by
+"""From head rows to detections: decode every anchor, filter by
 confidence, keep the top 400, greedy-NMS at 0.3 overlap, keep the top 200,
 then clip to the image.  Suppression runs on unclipped boxes so its geometry
 matches training; clipping is the very last step."""
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .network import HeadOutputs
+from .network import ANCHOR_SOURCES, HeadOutputs
 from .targets import SIZE_VARIANCE, decode_boxes, pairwise_jaccard
 
 # largest log size ratio decode accepts (torchvision's bbox_xform_clip): a box
@@ -35,36 +35,21 @@ class PostprocessConfig:
             raise ValueError("top-k limits must be positive")
 
 
-def flatten_heads(heads: HeadOutputs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor rows (loc (N, 4), conf (N, 2)) of a one-image batch, in
-    anchor-set order: sources in order, cells row-major, per-cell anchors by
-    channel group.  Raises ValueError for a batch of more than one image and
-    for a head map holding NaN or infinite values, naming its layer."""
-    locs, confs = [], []
-    for src in heads.sources:
-        loc, conf = heads.loc[src], heads.conf[src]
-        if loc.shape[0] != 1 or conf.shape[0] != 1:
-            raise ValueError(f"head {src!r} holds {loc.shape[0]} images; postprocess takes one")
-        for kind, maps in (("loc", loc), ("conf", conf)):
-            if not np.isfinite(maps).all():
-                raise ValueError(f"head {src}.{kind} holds NaN or infinite values")
-        loc, conf = loc[0], conf[0]
-        c4, h, w = loc.shape
-        a = c4 // 4
-        if c4 != 4 * a or conf.shape != (2 * a, h, w):
-            raise ValueError(f"head {src!r}: loc {loc.shape} and conf {conf.shape} disagree")
-        locs.append(loc.transpose(1, 2, 0).reshape(h * w * a, 4))
-        confs.append(conf.transpose(1, 2, 0).reshape(h * w * a, 2))
-    return np.concatenate(locs), np.concatenate(confs)
-
-
 def decode_all(heads: HeadOutputs, anchor_set: AnchorSet) -> tuple[np.ndarray, np.ndarray]:
-    """One (corner box, face score) per anchor, unclipped, in anchor order.
-    Size offsets are clamped at SIZE_OFFSET_CLIP after variance scaling."""
-    loc, conf = flatten_heads(heads)
-    if loc.shape[0] != len(anchor_set):
-        raise ValueError(f"heads predict {loc.shape[0]} slots but {len(anchor_set)} anchors exist")
-    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / SIZE_VARIANCE)
+    """One (corner box, face score) per anchor, unclipped, in anchor order, with
+    size offsets clamped at SIZE_OFFSET_CLIP after variance scaling, on a copy.
+    A batch, rows off the anchor count and NaN or infinite rows raise ValueError."""
+    n, count = heads.loc.shape[0], len(anchor_set)
+    if n != 1:
+        raise ValueError(f"heads hold {n} images; postprocess takes one")
+    if heads.loc.shape[1:] != (count, 4) or heads.conf.shape != (1, count, 2):
+        raise ValueError(f"heads {heads.loc.shape}, {heads.conf.shape} do not fit {count} anchors")
+    loc, conf = heads.loc[0].copy(), heads.conf[0]
+    for kind, rows in (("loc", loc), ("conf", conf)):
+        if not np.isfinite(rows).all():
+            source = ANCHOR_SOURCES[anchor_set.layer_index[np.isfinite(rows).all(1).argmin()]]
+            raise ValueError(f"head {source}.{kind} holds NaN or infinite values")
+    loc[:, 2:] = np.minimum(loc[:, 2:], SIZE_OFFSET_CLIP / SIZE_VARIANCE)  # in float32
     boxes = decode_boxes(anchor_set.center_sizes(), loc).astype(np.float32)
     # the two-class softmax on columns: numpy reduces a length-2 axis slowly
     c0, c1 = conf[:, 0], conf[:, 1]

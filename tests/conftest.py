@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from facedet import network, ops
 from facedet.anchors import AnchorSet
 from facedet.network import ModelWeights, default_descriptor, xavier_init
 from facedet.targets import decode_boxes, encode_boxes, pairwise_jaccard
@@ -30,13 +31,33 @@ def layer(descriptor, name: str):
     return next(l for l in descriptor.layers if l.name == name)
 
 
-def slot_count(heads) -> int:
-    """Total anchors the heads predict for (cells x anchors-per-cell)."""
-    total = 0
-    for src in heads.sources:
-        _, c4, h, w = heads.loc[src].shape
-        total += h * w * (c4 // 4)
-    return total
+def forward_head_maps(weights, descriptor, image, monkeypatch):
+    """`forward`'s result and the head maps it computed on the way, {head
+    layer name: (n, kA, h, w)}, recorded from its own `ops.conv2d` calls
+    (those outside `inception_forward`), which follow descriptor order."""
+    maps, inside = [], []
+    conv2d, inception = ops.conv2d, network.inception_forward
+
+    def record_conv2d(*args, **kwargs):
+        y = conv2d(*args, **kwargs)
+        if not inside:
+            maps.append(y)
+        return y
+
+    def record_inception(*args):
+        inside.append(True)
+        y = inception(*args)
+        inside.pop()
+        return y
+
+    with monkeypatch.context() as m:
+        m.setattr(ops, "conv2d", record_conv2d)
+        m.setattr(network, "inception_forward", record_inception)
+        heads = network.forward(weights, descriptor, image)
+    names = [l.name for l in descriptor.layers if l.kind in ("conv", "head")]
+    assert len(names) == len(maps)
+    kinds = {l.name: l.kind for l in descriptor.layers}
+    return heads, {name: y for name, y in zip(names, maps) if kinds[name] == "head"}
 
 
 def tiling_density(scale, interval) -> Fraction:

@@ -5,8 +5,9 @@ fancy-indexing bilinear resize and whole-image color transform that
 the stage-by-stage augmentation `augment.augment_pipeline` must match bit
 for bit, the row-wise cross entropy and full-sort mining that
 `targets.softmax_cross_entropy` and `targets.hard_negative_mine` must match,
-and the stacked anchor construction `anchors.generate_anchors` must match
-bit for bit.
+the stacked anchor construction `anchors.generate_anchors` must match
+bit for bit, and the per-image head-map flattening whose anchor rows
+`network.forward` must return bit for bit.
 
 They share no code with the fast operators beyond input coercion and the
 output-size formula, so the tests can use them as independent oracles.
@@ -264,3 +265,24 @@ def generate_anchors_stacked(image_w: int, image_h: int) -> AnchorSet:
         col=i[:, 2],
         sub_index=i[:, 3],
     )
+
+
+def flatten_head_maps(loc_maps, conf_maps) -> tuple[np.ndarray, np.ndarray]:
+    """Per-source head maps, loc (n, 4A, h, w) and conf (n, 2A, h, w) in
+    source order, as anchor rows (n, N, 4) and (n, N, 2): per image, each
+    map's (channel, row, col) axes go to (row, col, channel) and are cut into
+    rows of 4 or 2, and the sources are concatenated.  Raises ValueError when
+    a loc and conf pair disagree.  Test oracle only."""
+    images = []
+    for i in range(len(loc_maps[0])):
+        locs, confs = [], []
+        for loc, conf in zip(loc_maps, conf_maps):
+            loc, conf = loc[i], conf[i]
+            c4, h, w = loc.shape
+            a = c4 // 4
+            if c4 != 4 * a or conf.shape != (2 * a, h, w):
+                raise ValueError(f"loc {loc.shape} and conf {conf.shape} disagree")
+            locs.append(loc.transpose(1, 2, 0).reshape(h * w * a, 4))
+            confs.append(conf.transpose(1, 2, 0).reshape(h * w * a, 2))
+        images.append((np.concatenate(locs), np.concatenate(confs)))
+    return np.stack([l for l, _ in images]), np.stack([c for _, c in images])

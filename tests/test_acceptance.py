@@ -14,7 +14,7 @@ import facedet as fd
 from facedet import ops
 from facedet.cli import main
 from facedet.formats import parse_detections
-from facedet.network import ANCHOR_SCALES, save_weights
+from facedet.network import ANCHOR_SCALES, ANCHOR_SOURCES, save_weights
 from facedet.targets import softmax_cross_entropy
 
 from conftest import (
@@ -22,7 +22,6 @@ from conftest import (
     Det,
     build_smoke_weights,
     jaccard,
-    slot_count,
     tent_blob_image,
     tiling_density,
 )
@@ -83,7 +82,9 @@ def test_03_stride_chain(descriptor, random_weights):
         start = time.perf_counter()
         heads = fd.forward(random_weights, descriptor, x)
         elapsed = time.perf_counter() - start
-        assert [heads.loc[s].shape[2:] for s in heads.sources] == [(32, 32), (16, 16), (8, 8)]
+        sizes = descriptor.spatial_sizes(1024, 1024)
+        assert [sizes[s] for s in ANCHOR_SOURCES] == [(32, 32), (16, 16), (8, 8)]
+        assert heads.loc.shape == (1, 21824, 4)  # 32*32*21 + 16*16 + 8*8 anchor rows
         assert elapsed < 30.0
 
 
@@ -92,7 +93,7 @@ def test_04_head_anchor_consistency(descriptor, random_weights):
         for w, h in ((640, 640), (1024, 1024), (640, 480)):
             x = np.random.default_rng(1).random((1, 3, h, w), dtype=np.float32)
             heads = fd.forward(random_weights, descriptor, x)
-            assert slot_count(heads) == len(fd.generate_anchors(w, h))
+            assert heads.loc.shape[1] == len(fd.generate_anchors(w, h))
 
 
 def _oracle_nms(dets, threshold):

@@ -7,7 +7,7 @@ from facedet import anchors as anc
 from facedet.targets import center_size_to_corner
 from facedet.network import ANCHOR_SCALES, default_descriptor, forward
 
-from conftest import densified_centers, slot_count, tiling_density
+from conftest import densified_centers, tiling_density
 from naive_ops import generate_anchors_stacked
 
 _FIELDS = ("cx", "cy", "side", "layer_index", "row", "col", "sub_index")
@@ -167,11 +167,16 @@ class TestHeadConsistency:
     def test_head_slots_equal_anchor_count(self, descriptor, random_weights, w, h):
         x = np.random.default_rng(0).random((1, 3, h, w), dtype=np.float32)
         heads = forward(random_weights, descriptor, x)
-        assert slot_count(heads) == len(anc.generate_anchors(w, h))
+        assert heads.loc.shape[1] == len(anc.generate_anchors(w, h))
 
     def test_grid_matches_forward_shapes(self, descriptor, random_weights):
         x = np.random.default_rng(1).random((1, 3, 480, 640), dtype=np.float32)
         heads = forward(random_weights, descriptor, x)
         sizes = descriptor.spatial_sizes(480, 640)
-        for src in heads.sources:
-            assert heads.loc[src].shape[2:] == sizes[src]
+        # each source's grid cells times its anchors per cell
+        count = sum(
+            sizes[src][0] * sizes[src][1] * sum(n * n for _, n in scales)
+            for src, scales in ANCHOR_SCALES.items()
+        )
+        assert heads.loc.shape == (1, count, 4)
+        assert heads.conf.shape == (1, count, 2)

@@ -111,6 +111,10 @@ class TestExitCodes:
     def test_malformed_flag_values_are_usage_errors(self, capsys):
         assert main(["detect", "--model", "m", "--resize", "bogus", "img.ppm"]) == 1
         assert main(["detect", "--model", "m", "--mean", "1,2", "img.ppm"]) == 1
+        # NaN, inf and a value that overflows float32 would reach the network as
+        # non-finite pixels and be blamed on its heads
+        for mean in ("nan,0,0", "0,inf,0", "1e39,0,0"):
+            assert main(["detect", "--model", "m", "--mean", mean, "img.ppm"]) == 1
 
     def test_help_is_0(self):
         assert main(["--help"]) == 0

@@ -215,7 +215,7 @@ class TestEvaluateDetections:
 
 
 class TestEvalCommandOracle:
-    def test_multi_image_matches_plain_python(self, tmp_path):
+    def test_multi_image_matches_plain_python(self, tmp_path, capsys):
         """`eval` over several images whose scores tie across images equals
         per-image brute-force labels plus a list-based cumulative sweep, so
         cross-image ties keep image order, then row order."""
@@ -266,4 +266,11 @@ class TestEvalCommandOracle:
             cut = next((k for k, f in enumerate(fp) if f > budget), len(fp))
             summary.append(f"tpr@{budget}\t{tp[cut - 1] / total if cut else 0.0:.6f}")
         want.append("\t".join(summary))
+        assert out.read_text() == "\n".join(want) + "\n"
+
+        # a NaN budget is no budget: a data error naming it, not a tpr@nan line
+        argv[argv.index("1,2,1000")] = "nan"
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "fp budget must be positive, got nan" in capsys.readouterr().err
         assert out.read_text() == "\n".join(want) + "\n"

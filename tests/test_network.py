@@ -18,7 +18,10 @@ from facedet.network import (
     xavier_init,
 )
 
-from conftest import layer, parameter_count
+from facedet.anchors import generate_anchors
+
+from conftest import forward_head_maps, layer, parameter_count
+from naive_ops import flatten_head_maps
 
 # summed by hand from the per-layer widths: stem 3552 + 76864, three inception
 # blocks at 37584, trunk convs 16512 + 295168 + 32896 + 295168, six heads
@@ -61,7 +64,7 @@ class TestDescriptor:
     def test_fingerprint_stable_and_sensitive(self, descriptor):
         # every FBXW file carries this digest
         assert descriptor.fingerprint() == 0x32FD35CCC90CB5DF
-        trimmed = network.NetworkDescriptor(descriptor.layers[:-1], ("Inception3",))
+        trimmed = network.NetworkDescriptor(descriptor.layers[:-1])
         assert trimmed.fingerprint() != descriptor.fingerprint()
 
     def test_feature_sizes_exact_for_multiples_of_128(self, descriptor):
@@ -132,19 +135,38 @@ class TestXavierInit:
 
 
 class TestForward:
-    def test_1024_head_grids(self, descriptor, random_weights):
+    def test_1024_head_grids(self, descriptor, random_weights, monkeypatch):
         x = np.random.default_rng(0).random((1, 3, 1024, 1024), dtype=np.float32)
-        heads = forward(random_weights, descriptor, x)
-        assert heads.loc["Inception3"].shape == (1, 84, 32, 32)
-        assert heads.loc["Conv3_2"].shape == (1, 4, 16, 16)
-        assert heads.loc["Conv4_2"].shape == (1, 4, 8, 8)
-        assert heads.conf["Inception3"].shape == (1, 42, 32, 32)
+        heads, maps = forward_head_maps(random_weights, descriptor, x, monkeypatch)
+        assert maps["Inception3.loc"].shape == (1, 84, 32, 32)
+        assert maps["Conv3_2.loc"].shape == (1, 4, 16, 16)
+        assert maps["Conv4_2.loc"].shape == (1, 4, 8, 8)
+        assert maps["Inception3.conf"].shape == (1, 42, 32, 32)
+        # 32*32*21 + 16*16 + 8*8 anchor rows
+        assert heads.loc.shape == (1, 21824, 4)
+        assert heads.conf.shape == (1, 21824, 2)
 
-    def test_640_head_grids(self, descriptor, random_weights):
+    def test_640_head_grids(self, descriptor, random_weights, monkeypatch):
         x = np.random.default_rng(1).random((1, 3, 640, 640), dtype=np.float32)
-        heads = forward(random_weights, descriptor, x)
-        grids = [heads.loc[s].shape[2:] for s in heads.sources]
+        _, maps = forward_head_maps(random_weights, descriptor, x, monkeypatch)
+        grids = [maps[f"{s}.loc"].shape[2:] for s in ANCHOR_SOURCES]
         assert grids == [(20, 20), (10, 10), (5, 5)]
+
+    @pytest.mark.parametrize(
+        "n,h,w", [(1, 640, 640), (1, 480, 640), (1, 517, 999), (1, 1024, 1024), (2, 256, 320)]
+    )
+    def test_rows_match_flattened_head_maps(
+        self, descriptor, random_weights, monkeypatch, n, h, w
+    ):
+        # forward's rows are its own head maps flattened per image, bit for bit
+        x = np.random.default_rng(h + w).random((n, 3, h, w), dtype=np.float32)
+        heads, maps = forward_head_maps(random_weights, descriptor, x, monkeypatch)
+        loc, conf = flatten_head_maps(
+            [maps[f"{s}.loc"] for s in ANCHOR_SOURCES], [maps[f"{s}.conf"] for s in ANCHOR_SOURCES]
+        )
+        assert heads.loc.shape == (n, len(generate_anchors(w, h)), 4)
+        np.testing.assert_array_equal(heads.loc.view(np.uint32), loc.view(np.uint32))
+        np.testing.assert_array_equal(heads.conf.view(np.uint32), conf.view(np.uint32))
 
     def test_batch_matches_single(self, descriptor, random_weights):
         rng = np.random.default_rng(2)
@@ -152,21 +174,15 @@ class TestForward:
         both = forward(random_weights, descriptor, batch)
         for i in range(2):
             single = forward(random_weights, descriptor, batch[i : i + 1])
-            for src in both.sources:
-                np.testing.assert_allclose(
-                    both.loc[src][i], single.loc[src][0], rtol=1e-5, atol=1e-5
-                )
-                np.testing.assert_allclose(
-                    both.conf[src][i], single.conf[src][0], rtol=1e-5, atol=1e-5
-                )
+            np.testing.assert_allclose(both.loc[i], single.loc[0], rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(both.conf[i], single.conf[0], rtol=1e-5, atol=1e-5)
 
     def test_deterministic_bit_exact(self, descriptor, random_weights):
         x = np.random.default_rng(3).random((1, 3, 256, 256), dtype=np.float32)
         a = forward(random_weights, descriptor, x)
         b = forward(random_weights, descriptor, x)
-        for src in a.sources:
-            np.testing.assert_array_equal(a.loc[src], b.loc[src])
-            np.testing.assert_array_equal(a.conf[src], b.conf[src])
+        np.testing.assert_array_equal(a.loc, b.loc)
+        np.testing.assert_array_equal(a.conf, b.conf)
 
     def test_undersized_input_rejected(self, descriptor, random_weights):
         with pytest.raises(ValueError, match="minimum"):
@@ -191,7 +207,7 @@ class TestForward:
         layers = tuple(
             dataclasses.replace(l, **changes) if l.name == name else l for l in descriptor.layers
         )
-        return network.NetworkDescriptor(layers, descriptor.anchor_sources)
+        return network.NetworkDescriptor(layers)
 
     def test_non_pool_reading_crelu_rejected(self, descriptor):
         # forward runs C.ReLU only inside the pool after it
@@ -253,8 +269,7 @@ class TestForward:
         for t in threads:
             t.join()
         for got in results:
-            for src in want.sources:
-                np.testing.assert_array_equal(got.loc[src], want.loc[src])
+            np.testing.assert_array_equal(got.loc, want.loc)
 
 
 class TestWeightSerialization:

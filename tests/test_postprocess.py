@@ -5,11 +5,11 @@ import pytest
 
 from facedet import postprocess as pp
 from facedet.anchors import generate_anchors
-from facedet.network import HeadOutputs, forward
+from facedet.network import ANCHOR_SOURCES, HeadOutputs, forward
 from facedet.targets import center_size_to_corner, decode_boxes
 
-from conftest import Det, grid_anchors
-from naive_ops import softmax_pairs
+from conftest import Det, forward_head_maps, grid_anchors
+from naive_ops import flatten_head_maps, softmax_pairs
 
 
 def brute_force_nms(dets, threshold):
@@ -54,7 +54,8 @@ def nms_dets(dets, threshold):
 
 
 def single_layer_heads(loc, conf):
-    return HeadOutputs(("L0",), {"L0": loc}, {"L0": conf})
+    """The anchor rows of one loc (n, 4A, h, w) and conf (n, 2A, h, w) map pair."""
+    return HeadOutputs(*flatten_head_maps([loc], [conf]))
 
 
 class TestNms:
@@ -111,14 +112,13 @@ class TestNms:
 class TestDecodeAll:
     def test_zero_offsets_give_anchors_and_half_scores(self):
         aset = generate_anchors(640, 640)
-        heads = {}
-        loc = {"Inception3": np.zeros((1, 84, 20, 20), np.float32),
-               "Conv3_2": np.zeros((1, 4, 10, 10), np.float32),
-               "Conv4_2": np.zeros((1, 4, 5, 5), np.float32)}
-        conf = {"Inception3": np.zeros((1, 42, 20, 20), np.float32),
-                "Conv3_2": np.zeros((1, 2, 10, 10), np.float32),
-                "Conv4_2": np.zeros((1, 2, 5, 5), np.float32)}
-        heads = HeadOutputs(("Inception3", "Conv3_2", "Conv4_2"), loc, conf)
+        loc = [np.zeros((1, 84, 20, 20), np.float32),
+               np.zeros((1, 4, 10, 10), np.float32),
+               np.zeros((1, 4, 5, 5), np.float32)]
+        conf = [np.zeros((1, 42, 20, 20), np.float32),
+                np.zeros((1, 2, 10, 10), np.float32),
+                np.zeros((1, 2, 5, 5), np.float32)]
+        heads = HeadOutputs(*flatten_head_maps(loc, conf))
         boxes, scores = pp.decode_all(heads, aset)
         assert boxes.shape == (8525, 4)
         np.testing.assert_allclose(scores, 0.5, atol=1e-6)
@@ -143,6 +143,10 @@ class TestDecodeAll:
         conf = np.zeros((1, 2, 2, 3), np.float32)
         with pytest.raises(ValueError, match="anchors"):
             pp.decode_all(single_layer_heads(loc, conf), aset)
+        # conf rows are checked too
+        heads = HeadOutputs(np.zeros((1, 8, 4), np.float32), np.zeros((1, 7, 2), np.float32))
+        with pytest.raises(ValueError, match="8 anchors"):
+            pp.decode_all(heads, aset)
 
     def test_scores_agree_with_softmax_pairs(self):
         aset = grid_anchors(256, 256, 32, 32)
@@ -167,11 +171,18 @@ class TestDecodeAll:
         np.testing.assert_array_equal(scores.view(np.uint32), want.view(np.uint32))
 
     def test_non_finite_head_named(self):
-        conf = np.zeros((1, 2, 8, 8), np.float32)
-        conf[0, 1, 3, 4] = np.nan
-        heads = single_layer_heads(np.zeros((1, 4, 8, 8), np.float32), conf)
-        with pytest.raises(ValueError, match=r"L0\.conf holds NaN"):
-            pp.flatten_heads(heads)
+        # a bad value in the middle of one source's rows names that head map
+        for w, h in ((640, 640), (999, 517)):
+            aset = generate_anchors(w, h)
+            for li, source in enumerate(ANCHOR_SOURCES):
+                rows = np.flatnonzero(aset.layer_index == li)
+                for kind in ("loc", "conf"):
+                    for value in (np.nan, -np.inf):
+                        heads = HeadOutputs(np.zeros((1, len(aset), 4), np.float32),
+                                            np.zeros((1, len(aset), 2), np.float32))
+                        getattr(heads, kind)[0, rows[len(rows) // 2], 1] = value
+                        with pytest.raises(ValueError, match=rf"^head {source}\.{kind} holds NaN"):
+                            pp.decode_all(heads, aset)
 
     def test_batch_rejected(self):
         # a two-image batch must not be cut to its first image
@@ -179,22 +190,26 @@ class TestDecodeAll:
             np.zeros((2, 4, 8, 8), np.float32), np.zeros((2, 2, 8, 8), np.float32)
         )
         with pytest.raises(ValueError, match="2 images"):
-            pp.flatten_heads(heads)
+            pp.decode_all(heads, grid_anchors(256, 256, 32, 32))
+        # the batch is named before a row count that is also off
+        heads = HeadOutputs(np.zeros((3, 5, 4), np.float32), np.zeros((3, 5, 2), np.float32))
+        with pytest.raises(ValueError, match="3 images"):
+            pp.decode_all(heads, grid_anchors(256, 256, 32, 32))
 
-    def test_forward_heads_flatten_consistently(self, descriptor, random_weights):
+    def test_forward_heads_flatten_consistently(self, descriptor, random_weights, monkeypatch):
         x = np.random.default_rng(0).random((1, 3, 640, 640), dtype=np.float32)
-        heads = forward(random_weights, descriptor, x)
-        loc, conf = pp.flatten_heads(heads)
+        heads, maps = forward_head_maps(random_weights, descriptor, x, monkeypatch)
+        loc, conf = heads.loc[0], heads.conf[0]
         assert loc.shape == (8525, 4)
         assert conf.shape == (8525, 2)
         # spot-check one mid-grid slot of the 21-anchor layer
         row, col, a = 7, 11, 13
         slot = (row * 20 + col) * 21 + a
         np.testing.assert_array_equal(
-            loc[slot], heads.loc["Inception3"][0, 4 * a : 4 * a + 4, row, col]
+            loc[slot], maps["Inception3.loc"][0, 4 * a : 4 * a + 4, row, col]
         )
         np.testing.assert_array_equal(
-            conf[slot], heads.conf["Inception3"][0, 2 * a : 2 * a + 2, row, col]
+            conf[slot], maps["Inception3.conf"][0, 2 * a : 2 * a + 2, row, col]
         )
 
 
@@ -293,6 +308,19 @@ class TestRunPostprocess:
             rows, _ = pp.run_postprocess(heads, self._anchors())
         assert np.isfinite(boxes).all()
         assert len(rows) == 1
+
+    def test_heads_left_unchanged(self, descriptor, random_weights):
+        # the size-offset clamp works on a copy: heads can be decoded again
+        x = np.random.default_rng(9).random((1, 3, 640, 640), dtype=np.float32)
+        heads = forward(random_weights, descriptor, x)
+        heads.loc[0, ::7, 2:] = 1e4  # far beyond SIZE_OFFSET_CLIP / SIZE_VARIANCE
+        loc, conf = heads.loc.copy(), heads.conf.copy()
+        aset = generate_anchors(640, 640)
+        boxes, _ = pp.decode_all(heads, aset)
+        pp.run_postprocess(heads, aset)
+        np.testing.assert_array_equal(heads.loc.view(np.uint32), loc.view(np.uint32))
+        np.testing.assert_array_equal(heads.conf.view(np.uint32), conf.view(np.uint32))
+        np.testing.assert_array_equal(pp.decode_all(heads, aset)[0], boxes)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
