@@ -16,7 +16,7 @@ import numpy as np
 from . import ops
 from .network import check_input_pixels
 
-_LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64).reshape(1, 3, 1, 1)
+_LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float32).reshape(1, 3, 1, 1)
 _COLOR_OPS = ("brightness", "contrast", "saturation")
 
 BRIGHTNESS_DELTA = 0.125
@@ -83,13 +83,13 @@ def draw_color(rng: np.random.Generator) -> ColorDraw:
 
 
 def _color_chain(x, steps, brightness, contrast, saturation, means) -> np.ndarray:
-    """Run the color ops `steps` on the pixels x, clamping to [0, 1] after
-    each; the i-th contrast scales about means[i].  A brightness shift of a
-    float32 x stays float32, every other op computes in float64."""
+    """Run the color ops `steps` on the float32 pixels x, clamping to [0, 1]
+    after each; the i-th contrast scales about the float32 means[i].  Every
+    op computes in float32."""
     means = iter(means)
     for op in steps:  # the first step of each op makes x a new array, the rest work in place
         if op == "brightness":
-            x = x + np.float32(brightness)
+            x = x + brightness
         elif op == "contrast":
             mean = next(means)
             x = x - mean
@@ -114,7 +114,8 @@ def apply_color(image, brightness: float, contrast: float, saturation: float,
     of the whole image as it stands when contrast runs.  So each mean comes
     from one pass of the ops before it over the whole image, which keeps only
     the (n, 1, h, w) luma plane, and then the whole chain runs on the output
-    pixels.  Both passes go one band of rows at a time."""
+    pixels.  Both passes go one band of rows at a time, in float32; each
+    mean is accumulated in float64 and rounded to float32 once."""
     for op in order:
         if op not in _COLOR_OPS:
             raise ValueError(f"unknown color op {op!r}")
@@ -122,19 +123,21 @@ def apply_color(image, brightness: float, contrast: float, saturation: float,
     n, c, h, w = img.shape
     skip = {"brightness": brightness == 0, "contrast": contrast == 1, "saturation": saturation == 1}
     steps = [op for op in order if not skip[op]]
-    params = (brightness, contrast, saturation)
+    params = (np.float32(brightness), np.float32(contrast), np.float32(saturation))
     means = []
     for i, op in enumerate(steps):
         if op == "contrast":
-            luma = np.empty((n, 1, h, w))
-            for s in ops.bands(h, n * c * w * 8):
+            luma = np.empty((n, 1, h, w), ops.DTYPE)
+            for s in ops.bands(h, n * c * w * 4):
                 luma[:, :, s] = _luma(_color_chain(img[:, :, s], steps[:i], *params, means))
-            means.append(luma.mean())  # the one reduction over the whole luma plane
+            # the one reduction over the whole luma plane; a float64 scalar
+            # would promote every band after it back to float64
+            means.append(np.float32(luma.mean(dtype=np.float64)))
     if crop is not None:
         x0, y0, side = crop
         img = img[:, :, y0 : y0 + side, x0 : x0 + side]
     out = np.empty(img.shape, ops.DTYPE)
-    for s in ops.bands(out.shape[2], n * c * out.shape[3] * 8):
+    for s in ops.bands(out.shape[2], n * c * out.shape[3] * 4):
         out[:, :, s] = _color_chain(img[:, :, s], steps, *params, means)
     return out
 
@@ -211,11 +214,13 @@ def resize_bilinear(image, out_h: int, out_w: int, flip: bool = False) -> np.nda
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    wy0, wy1, wx0 = (1 - fy)[:, None], fy[:, None], 1 - fx
+    # float32 blend weights keep both passes in float32
+    wy0, wy1 = (1 - fy).astype(ops.DTYPE)[:, None], fy.astype(ops.DTYPE)[:, None]
+    wx0, fx = (1 - fx).astype(ops.DTYPE), fx.astype(ops.DTYPE)
     if flip:
         x0, x1, wx0, fx = x0[::-1], x1[::-1], wx0[::-1], fx[::-1]
     out = np.empty((n, c, out_h, out_w), ops.DTYPE)
-    for s in ops.bands(out_h, n * c * max(w, out_w) * 8):
+    for s in ops.bands(out_h, n * c * max(w, out_w) * 4):
         # np.take keeps C order, where fancy indexing would hand back a transposed layout
         rows = np.take(img, y0[s], axis=2) * wy0[s]
         rows += np.take(img, y1[s], axis=2) * wy1[s]

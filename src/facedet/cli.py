@@ -48,19 +48,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_mean(text: str) -> np.ndarray:
-    with np.errstate(over="ignore"):  # a float32 overflow is rejected below as inf
-        mean = np.array([float(v) for v in text.split(",")], dtype=np.float32)
+    error = argparse.ArgumentTypeError(f"needs three finite comma-separated values, got {text!r}")
+    try:
+        with np.errstate(over="ignore"):  # a float32 overflow is rejected below as inf
+            mean = np.array([float(v) for v in text.split(",")], dtype=np.float32)
+    except ValueError:
+        raise error from None
     if mean.shape != (3,) or not np.isfinite(mean).all():
-        raise argparse.ArgumentTypeError(f"needs three finite comma-separated values, got {text!r}")
+        raise error
     return mean.reshape(1, 3, 1, 1)
 
 
 def _parse_size(text: str) -> tuple[int, int]:
     w, _, h = text.partition("x")
-    size = int(w), int(h)
+    try:
+        size = int(w), int(h)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs WxH, two whole numbers, got {text!r}") from None
     if min(size) < 1:
         raise argparse.ArgumentTypeError(f"sides must be at least 1, got {text!r}")
     return size
+
+
+def _parse_budgets(text: str) -> list[float]:
+    """Comma-separated FP budgets, at least one; empty fields are skipped.
+    A NaN parses here and is rejected by `evaluate` as a data error."""
+    try:
+        budgets = [float(v) for v in text.split(",") if v]
+    except ValueError:
+        budgets = []
+    if not budgets:
+        raise argparse.ArgumentTypeError(f"needs comma-separated numbers, got {text!r}")
+    return budgets
 
 
 def _postprocess_config(args) -> PostprocessConfig:
@@ -165,8 +184,7 @@ def cmd_eval(args) -> int:
                 )
             blocks_by_image.setdefault(block.path, []).append(block.rows)
     detections = {image: np.concatenate(rows) for image, rows in blocks_by_image.items()}
-    budgets = [float(v) for v in args.fp_budgets.split(",") if v]
-    result = evaluate_detections(detections, gt, args.iou, budgets)
+    result = evaluate_detections(detections, gt, args.iou, args.fp_budgets)
     lines = [f"pr\t{r:.6f}\t{p:.6f}" for r, p in result.pr_points]
     lines += [f"roc\t{fp}\t{tpr:.6f}" for fp, tpr in result.roc_points]
     summary = [
@@ -357,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--dets", nargs="+", required=True)
     p.add_argument("--iou", type=float, default=EVAL_IOU_THRESHOLD)
-    p.add_argument("--fp-budgets", default="1000")
+    p.add_argument("--fp-budgets", type=_parse_budgets, default="1000")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -42,11 +42,13 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-# Bytes per row band of the float64 elementwise chains (augment's color and
-# resize, the IoU matrix), so each band's temporaries stay in L2.  On a 2-core
-# Xeon with 2 MiB of L2 per core, 256 KiB beat 64 KiB and 1 MiB on both:
-# apply_color at 1024x768 took 26 ms against 40 and 31 ms, resize_bilinear
-# from 300-768 squares to 1024x1024 20 ms against 25 and 23 ms.
+# Bytes per row band of the elementwise chains (augment's float32 color and
+# resize, the float64 IoU matrix), so each band's temporaries stay in L2.  On
+# a 2-core Xeon with 2 MiB of L2 per core, 256 KiB beat 64 KiB and 1 MiB when
+# the augment chains ran in float64: apply_color at 1024x768 took 26 ms
+# against 40 and 31 ms, resize_bilinear from 300-768 squares to 1024x1024
+# 20 ms against 25 and 23 ms.  In float32, augment_pipeline on a 1024x768
+# source took 22.9, 21.1 and 20.8 ms at 128, 256 and 512 KiB: no clear win.
 BAND_BYTES = 1 << 18
 
 

@@ -104,10 +104,12 @@ def softmax_pairs(logits) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(n, c, h, w))
 
 
-def resize_bilinear_fancy(image, out_h: int, out_w: int) -> np.ndarray:
+def resize_bilinear_fancy(image, out_h: int, out_w: int, work=np.float64) -> np.ndarray:
     """`augment.resize_bilinear` as first written, gathering with fancy
-    indexing (which returns a transposed layout).  Same float64 arithmetic in
-    the same order, so the two agree bit for bit.  Test oracle only."""
+    indexing (which returns a transposed layout), with the blend weights cast
+    to `work`.  With `work` float32 it is the library's arithmetic in the
+    library's order, so the two agree bit for bit; float64 is the reference
+    the float32 chain is bounded against.  Test oracle only."""
     img = as_tensor(image)
     n, c, h, w = img.shape
     if (h, w) == (out_h, out_w):
@@ -122,24 +124,26 @@ def resize_bilinear_fancy(image, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.clip(y0f.astype(np.int64) + 1, 0, h - 1)
     x0 = np.clip(x0f.astype(np.int64), 0, w - 1)
     x1 = np.clip(x0f.astype(np.int64) + 1, 0, w - 1)
-    rows = img[:, :, y0, :] * (1 - fy)[None, None, :, None] + img[:, :, y1, :] * fy[None, None, :, None]
-    out = rows[:, :, :, x0] * (1 - fx) + rows[:, :, :, x1] * fx
+    wy0, wy1 = (1 - fy).astype(work)[None, None, :, None], fy.astype(work)[None, None, :, None]
+    wx0, wx1 = (1 - fx).astype(work), fx.astype(work)
+    rows = img[:, :, y0, :] * wy0 + img[:, :, y1, :] * wy1
+    out = rows[:, :, :, x0] * wx0 + rows[:, :, :, x1] * wx1
     return out.astype(DTYPE)
 
 
 _LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64).reshape(1, 3, 1, 1)
 
 
-def _luma(image: np.ndarray) -> np.ndarray:
-    return (image * _LUMA).sum(axis=1, keepdims=True)
-
-
 def apply_color_unbanded(image, brightness: float, contrast: float, saturation: float,
-                         order=("brightness", "contrast", "saturation")):
+                         order=("brightness", "contrast", "saturation"), work=np.float64):
     """`augment.apply_color` as first written: each op runs on the whole image
-    through image-sized float64 temporaries.  The banded version applies the
-    same ufuncs in the same order to each element, so the two agree bit for
-    bit.  Test oracle only."""
+    through image-sized temporaries, with the luma weights, the contrast mean
+    and the contrast and saturation scales cast to `work` (the brightness
+    shift is float32 either way).  With `work` float32 the banded library
+    applies the same ufuncs in the same order to each element, so the two
+    agree bit for bit; float64 is the reference the float32 chain is bounded
+    against.  Test oracle only."""
+    luma = _LUMA.astype(work)
     img = as_tensor(image)
     for op in order:
         if op == "brightness":
@@ -149,34 +153,37 @@ def apply_color_unbanded(image, brightness: float, contrast: float, saturation: 
         elif op == "contrast":
             if contrast == 1:
                 continue
-            mean = _luma(img).mean()
-            img = (img - mean) * contrast + mean
+            mean = work((img * luma).sum(axis=1, keepdims=True).mean(dtype=np.float64))
+            img = (img - mean) * work(contrast) + mean
         elif op == "saturation":
             if saturation == 1:
                 continue
-            gray = _luma(img)
-            img = gray + (img - gray) * saturation
+            gray = (img * luma).sum(axis=1, keepdims=True)
+            img = gray + (img - gray) * work(saturation)
         else:
             raise ValueError(f"unknown color op {op!r}")
         img = np.clip(img, 0.0, 1.0)
     return img.astype(DTYPE)
 
 
-def augment_pipeline_staged(sample, rng, cfg):
+def augment_pipeline_staged(sample, rng, cfg, work=np.float64):
     """`augment.augment_pipeline` as first written: each stage runs on the
     whole output of the one before, drawing from `rng` as it goes.  The
     whole source is colored (apply_color_unbanded, with the draw color_distort
-    always made), then random_crop copies the crop, resize_square resizes it,
-    hflip copies it mirrored, and filter_boxes drops small boxes.  Test oracle
-    only."""
+    always made), then random_crop copies the crop, resize_bilinear_fancy
+    resizes it (its boxes scaled as resize_square scales them), hflip copies
+    it mirrored, and filter_boxes drops small boxes.  Both pixel stages
+    compute in `work`.  Test oracle only."""
     brightness = rng.uniform(-ag.BRIGHTNESS_DELTA, ag.BRIGHTNESS_DELTA)
     contrast = rng.uniform(*ag.CONTRAST_RANGE)
     saturation = rng.uniform(*ag.SATURATION_RANGE)
     order = tuple(ag._COLOR_OPS[i] for i in rng.permutation(3))
-    image = apply_color_unbanded(sample.image, brightness, contrast, saturation, order)
+    image = apply_color_unbanded(sample.image, brightness, contrast, saturation, order, work)
     out = ag.Sample(image, sample.boxes.copy(), sample.source_id)
     out = ag.random_crop(out, rng)
-    out = ag.resize_square(out, cfg.target_size)
+    side, target = out.height, cfg.target_size
+    boxes = (out.boxes.astype(np.float64) * (target / side)).astype(np.float32)
+    out = ag.Sample(resize_bilinear_fancy(out.image, target, target, work), boxes, out.source_id)
     out = ag.hflip(out, rng)
     return ag.filter_boxes(out)
 

@@ -4,12 +4,32 @@ import numpy as np
 import pytest
 
 from facedet import augment as ag
-from facedet import network, ops
+from facedet import network, ops, ppm
 from naive_ops import apply_color_unbanded, augment_pipeline_staged, resize_bilinear_fancy
 
 # one row per band, the default, and the whole image as one band
 BAND_BYTES_CASES = (1, ops.BAND_BYTES, 1 << 40)
 COLOR_ORDERS = list(itertools.permutations(ag._COLOR_OPS))
+COLOR_SHAPES = [(1, 5), (7, 33), (768, 256)]
+COLOR_PARAMS = [
+    (0.07, 1.3, 0.6), (-0.09, 0.7, 1.4),  # every op runs
+    (0.0, 1.3, 0.6), (0.07, 1.0, 0.6), (0.07, 1.3, 1.0),  # one identity skip each
+    (0.0, 1.0, 1.0),
+]
+CROPS = [(0, 0, 40), (3, 5, 17), (60, 20, 20), (25, 40, 35), (0, 0, 1)]
+CROP_PARAMS = [(0.07, 1.3, 0.6), (-0.09, 0.7, 1.4), (0.07, 1.0, 0.6)]
+RESIZE_CASES = [
+    ((300, 300), (1024, 1024)), ((768, 768), (1024, 1024)), ((1024, 1024), (512, 512)),
+    ((480, 640), (384, 512)), ((517, 999), (700, 260)), ((64, 64), (64, 64)),
+    ((1, 1), (4, 4)), ((40, 40), (1, 1)),
+]
+FLIP_CASES = [
+    ((300, 300), (1024, 1024)), ((1024, 1024), (512, 512)), ((517, 999), (700, 260)),
+    ((64, 64), (64, 64)), ((1, 1), (4, 4)), ((40, 40), (1, 1)),
+]
+PIPELINE_SHAPES = [(64, 80), (80, 64), (64, 64), (50, 120), (97, 61), (71, 93)]
+PIPELINE_SEEDS = 60
+NO_CONTRAST_FROM = 48  # seeds from here on draw contrast exactly 1
 
 
 def checker_image(h, w, seed=0):
@@ -19,6 +39,21 @@ def checker_image(h, w, seed=0):
 
 def sample(h=100, w=100, boxes=(), seed=0):
     return ag.Sample(checker_image(h, w, seed), np.array(boxes, np.float32).reshape(-1, 4))
+
+
+def pipeline_sample(seed):
+    """A small source with six boxes, some crossing its edges, for the
+    pipeline's oracle tests."""
+    h, w = PIPELINE_SHAPES[seed % len(PIPELINE_SHAPES)]
+    box_rng = np.random.default_rng([seed, 1])
+    xy = box_rng.uniform(-10, [w, h], (6, 2))
+    boxes = np.hstack([xy, xy + box_rng.uniform(5, 60, (6, 2))]).astype(np.float32)
+    return ag.Sample(checker_image(h, w, seed), boxes, "src")
+
+
+def full_size_sample():
+    img = checker_image(768, 1024, seed=9)
+    return ag.Sample(img, [[100, 100, 200, 220], [500, 300, 560, 380], [900, 600, 1024, 768]])
 
 
 class TestColorDistort:
@@ -61,18 +96,14 @@ class TestColorDistort:
         with pytest.raises(ValueError, match="unknown color op 'hue'"):
             ag.apply_color(checker_image(4, 4), 0.1, 1.2, 0.8, order=("brightness", "hue"))
 
-    @pytest.mark.parametrize("h,w", [(1, 5), (7, 33), (768, 256)])
-    @pytest.mark.parametrize("params", [
-        (0.07, 1.3, 0.6), (-0.09, 0.7, 1.4),  # every op runs
-        (0.0, 1.3, 0.6), (0.07, 1.0, 0.6), (0.07, 1.3, 1.0),  # one identity skip each
-        (0.0, 1.0, 1.0),
-    ])
+    @pytest.mark.parametrize("h,w", COLOR_SHAPES)
+    @pytest.mark.parametrize("params", COLOR_PARAMS)
     def test_matches_unbanded_oracle_bit_for_bit(self, monkeypatch, params, h, w):
-        # every op order, so each op meets a float32 and a float64 input and
-        # an identity op sits before the first float64 op
+        # every op order, so each op meets the source and another op's
+        # output, and an identity op sits before and after each other op
         img = checker_image(h, w, seed=h)
         for order in COLOR_ORDERS:
-            expected = apply_color_unbanded(img, *params, order=order)
+            expected = apply_color_unbanded(img, *params, order=order, work=np.float32)
             for band_bytes in BAND_BYTES_CASES:
                 monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
                 out = ag.apply_color(img, *params, order=order)
@@ -81,15 +112,16 @@ class TestColorDistort:
                 )
                 assert out.dtype == np.float32 and out.flags.c_contiguous
 
-    @pytest.mark.parametrize("crop", [(0, 0, 40), (3, 5, 17), (60, 20, 20), (25, 40, 35), (0, 0, 1)])
-    @pytest.mark.parametrize("params", [(0.07, 1.3, 0.6), (-0.09, 0.7, 1.4), (0.07, 1.0, 0.6)])
+    @pytest.mark.parametrize("crop", CROPS)
+    @pytest.mark.parametrize("params", CROP_PARAMS)
     def test_crop_matches_cropped_whole_image_bit_for_bit(self, monkeypatch, params, crop):
         # contrast's mean is the whole image's, every other op is per pixel;
         # (60, 20, 20) and (25, 40, 35) touch the right and the bottom edge
         img = checker_image(75, 80, seed=3)
         x0, y0, side = crop
         for order in COLOR_ORDERS:
-            expected = apply_color_unbanded(img, *params, order=order)[:, :, y0 : y0 + side, x0 : x0 + side]
+            expected = apply_color_unbanded(img, *params, order=order, work=np.float32)
+            expected = expected[:, :, y0 : y0 + side, x0 : x0 + side]
             for band_bytes in BAND_BYTES_CASES:
                 monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
                 out = ag.apply_color(img, *params, order=order, crop=crop)
@@ -101,7 +133,7 @@ class TestColorDistort:
     def test_repeated_contrast_takes_each_mean_in_turn(self):
         img = checker_image(30, 40, seed=4)
         order = ("contrast", "saturation", "contrast")
-        expected = apply_color_unbanded(img, 0.0, 1.4, 0.5, order=order)[:, :, 5:25, 10:30]
+        expected = apply_color_unbanded(img, 0.0, 1.4, 0.5, order=order, work=np.float32)[:, :, 5:25, 10:30]
         out = ag.apply_color(img, 0.0, 1.4, 0.5, order=order, crop=(10, 5, 20))
         np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
 
@@ -190,15 +222,10 @@ class TestResize:
         out = ag.resize_bilinear(img, 2, 3)
         np.testing.assert_allclose(out[0, 0, 0], [0.0, 0.5, 1.0], atol=1e-6)
 
-    @pytest.mark.parametrize(
-        "size,out_size",
-        [((300, 300), (1024, 1024)), ((768, 768), (1024, 1024)), ((1024, 1024), (512, 512)),
-         ((480, 640), (384, 512)), ((517, 999), (700, 260)), ((64, 64), (64, 64)),
-         ((1, 1), (4, 4)), ((40, 40), (1, 1))],
-    )
+    @pytest.mark.parametrize("size,out_size", RESIZE_CASES)
     def test_matches_fancy_index_oracle_bit_for_bit(self, monkeypatch, size, out_size):
         img = checker_image(*size, seed=size[0])
-        expected = resize_bilinear_fancy(img, *out_size)
+        expected = resize_bilinear_fancy(img, *out_size, work=np.float32)
         for band_bytes in BAND_BYTES_CASES:
             monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
             out = ag.resize_bilinear(img, *out_size)
@@ -207,17 +234,12 @@ class TestResize:
             )
             assert out.dtype == np.float32 and out.flags.c_contiguous
 
-
-    @pytest.mark.parametrize(
-        "size,out_size",
-        [((300, 300), (1024, 1024)), ((1024, 1024), (512, 512)), ((517, 999), (700, 260)),
-         ((64, 64), (64, 64)), ((1, 1), (4, 4)), ((40, 40), (1, 1))],
-    )
+    @pytest.mark.parametrize("size,out_size", FLIP_CASES)
     def test_flip_mirrors_columns_bit_for_bit(self, monkeypatch, size, out_size):
         # reversed column taps give out[..., ::-1] element for element, the
         # unchanged size (the copy path) included
         img = checker_image(*size, seed=size[1])
-        expected = resize_bilinear_fancy(img, *out_size)[..., ::-1]
+        expected = resize_bilinear_fancy(img, *out_size, work=np.float32)[..., ::-1]
         for band_bytes in BAND_BYTES_CASES:
             monkeypatch.setattr(ops, "BAND_BYTES", band_bytes)
             out = ag.resize_bilinear(img, *out_size, flip=True)
@@ -374,20 +396,16 @@ class TestPipeline:
         # every draw first, color on the crop only and the flip inside the
         # resize give the stage-by-stage output bit for bit; the draws are
         # peeked from a twin rng to check that each case below came up
-        shapes = [(64, 80), (80, 64), (64, 64), (50, 120), (97, 61), (71, 93)]
         seen = set()
-        for seed in range(60):
-            h, w = shapes[seed % len(shapes)]
-            if seed >= 48:  # contrast absent: its draw is exactly 1
+        for seed in range(PIPELINE_SEEDS):
+            if seed >= NO_CONTRAST_FROM:
                 monkeypatch.setattr(ag, "CONTRAST_RANGE", (1.0, 1.0))
             if seed % 5 == 4:
                 monkeypatch.setattr(ops, "BAND_BYTES", 1)
-            box_rng = np.random.default_rng([seed, 1])
-            xy = box_rng.uniform(-10, [w, h], (6, 2))
-            boxes = np.hstack([xy, xy + box_rng.uniform(5, 60, (6, 2))]).astype(np.float32)
-            s = ag.Sample(checker_image(h, w, seed), boxes, "src")
+            s = pipeline_sample(seed)
+            h, w = s.height, s.width
             cfg = ag.AugmentConfig(target_size=64)
-            want = augment_pipeline_staged(s, np.random.default_rng(seed), cfg)
+            want = augment_pipeline_staged(s, np.random.default_rng(seed), cfg, np.float32)
             out = ag.augment_pipeline(s, np.random.default_rng(seed), cfg)
             np.testing.assert_array_equal(out.image.view(np.uint32), want.image.view(np.uint32))
             np.testing.assert_array_equal(out.boxes.view(np.uint32), want.boxes.view(np.uint32))
@@ -398,7 +416,7 @@ class TestPipeline:
             color = ag.draw_color(twin)
             x0, y0, side = ag.draw_crop(h, w, twin)
             flip = twin.random() < ag.FLIP_PROB
-            seen.add(f"contrast {color.order.index('contrast')}" if seed < 48 else "no contrast")
+            seen.add(f"contrast {color.order.index('contrast')}" if seed < NO_CONTRAST_FROM else "no contrast")
             seen.add("flip" if flip else "no flip")
             seen |= {"copy path, flipped"} if side == 64 and flip else set()
             seen |= {"right edge"} if x0 + side == w else set()
@@ -407,10 +425,9 @@ class TestPipeline:
                         "copy path, flipped", "right edge", "bottom edge"}
 
     def test_full_size_source_matches_staged_oracle(self):
-        img = checker_image(768, 1024, seed=9)
-        s = ag.Sample(img, [[100, 100, 200, 220], [500, 300, 560, 380], [900, 600, 1024, 768]])
+        s = full_size_sample()
         for seed in range(3):
-            want = augment_pipeline_staged(s, np.random.default_rng(seed), ag.AugmentConfig())
+            want = augment_pipeline_staged(s, np.random.default_rng(seed), ag.AugmentConfig(), np.float32)
             out = ag.augment_pipeline(s, np.random.default_rng(seed))
             np.testing.assert_array_equal(out.image.view(np.uint32), want.image.view(np.uint32))
             np.testing.assert_array_equal(out.boxes.view(np.uint32), want.boxes.view(np.uint32))
@@ -438,3 +455,60 @@ class TestPipeline:
         s = ag.Sample(checker_image(150, 150), np.zeros((0, 4)), source_id="img7")
         out = ag.augment_pipeline(s, np.random.default_rng(0))
         assert out.source_id == "img7"
+
+
+class TestFloat64Bound:
+    """The stated bound of the float32 chains: `apply_color`,
+    `resize_bilinear` and `augment_pipeline` stay within 1e-6 absolute of
+    the float64 oracles, and within 1 uint8 level of them once `write_ppm`
+    rounds both, over the shapes, parameters, orders, crops, flips and
+    pipeline draws of the bit-for-bit tests above.  Boxes do not depend on
+    the pixels, so they stay bit for bit."""
+
+    ATOL = 1e-6
+
+    def assert_near(self, tmp_path, out, want):
+        np.testing.assert_allclose(out, want, rtol=0, atol=self.ATOL)
+        ppm.write_ppm(tmp_path / "out.ppm", out)
+        ppm.write_ppm(tmp_path / "want.ppm", want)
+        got, ref = (np.frombuffer((tmp_path / f).read_bytes(), np.uint8).astype(np.int16)
+                    for f in ("out.ppm", "want.ppm"))
+        assert got.shape == ref.shape and np.abs(got - ref).max() <= 1
+
+    @pytest.mark.parametrize("h,w", COLOR_SHAPES)
+    def test_color(self, tmp_path, h, w):
+        img = checker_image(h, w, seed=h)
+        for params, order in itertools.product(COLOR_PARAMS, COLOR_ORDERS):
+            want = apply_color_unbanded(img, *params, order=order)
+            self.assert_near(tmp_path, ag.apply_color(img, *params, order=order), want)
+
+    def test_color_crop(self, tmp_path):
+        img = checker_image(75, 80, seed=3)
+        for params, order in itertools.product(CROP_PARAMS, COLOR_ORDERS):
+            whole = apply_color_unbanded(img, *params, order=order)
+            for x0, y0, side in CROPS:
+                out = ag.apply_color(img, *params, order=order, crop=(x0, y0, side))
+                self.assert_near(tmp_path, out, whole[:, :, y0 : y0 + side, x0 : x0 + side])
+        img = checker_image(30, 40, seed=4)
+        order = ("contrast", "saturation", "contrast")
+        want = apply_color_unbanded(img, 0.0, 1.4, 0.5, order=order)[:, :, 5:25, 10:30]
+        self.assert_near(tmp_path, ag.apply_color(img, 0.0, 1.4, 0.5, order, crop=(10, 5, 20)), want)
+
+    @pytest.mark.parametrize("size,out_size", RESIZE_CASES)
+    def test_resize(self, tmp_path, size, out_size):
+        img = checker_image(*size, seed=size[0])
+        want = resize_bilinear_fancy(img, *out_size)
+        self.assert_near(tmp_path, ag.resize_bilinear(img, *out_size), want)
+        self.assert_near(tmp_path, ag.resize_bilinear(img, *out_size, flip=True), want[..., ::-1])
+
+    def test_pipeline(self, tmp_path, monkeypatch):
+        cases = [(pipeline_sample(seed), seed, ag.AugmentConfig(64)) for seed in range(PIPELINE_SEEDS)]
+        cases += [(full_size_sample(), seed, ag.AugmentConfig()) for seed in range(3)]
+        for s, seed, cfg in cases:
+            if cfg.target_size == 64 and seed >= NO_CONTRAST_FROM:
+                monkeypatch.setattr(ag, "CONTRAST_RANGE", (1.0, 1.0))
+            want = augment_pipeline_staged(s, np.random.default_rng(seed), cfg)
+            out = ag.augment_pipeline(s, np.random.default_rng(seed), cfg)
+            monkeypatch.undo()
+            self.assert_near(tmp_path, out.image, want.image)
+            np.testing.assert_array_equal(out.boxes.view(np.uint32), want.boxes.view(np.uint32))

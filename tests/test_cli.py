@@ -116,6 +116,18 @@ class TestExitCodes:
         for mean in ("nan,0,0", "0,inf,0", "1e39,0,0"):
             assert main(["detect", "--model", "m", "--mean", mean, "img.ppm"]) == 1
 
+    @pytest.mark.parametrize("flag,value,expected", [
+        ("--mean", "a,0,0", "needs three finite comma-separated values, got 'a,0,0'"),
+        ("--resize", "3x", "needs WxH, two whole numbers, got '3x'"),
+    ])
+    def test_unreadable_flag_values_say_what_is_expected(self, flag, value, expected, capsys):
+        # a value float() or int() cannot read gets the flag's own message,
+        # not argparse's "invalid <function> value" naming a private parser
+        assert main(["detect", "--model", "m", flag, value, "img.ppm"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {expected}" in err
+        assert "_parse_" not in err
+
     def test_help_is_0(self):
         assert main(["--help"]) == 0
 
@@ -391,7 +403,7 @@ class TestDetectCommand:
         assert held < 1.6 * image_bytes, f"{held / image_bytes:.2f} images held"
 
     def test_resize_holds_output_and_bands(self):
-        # detect --resize and augment's resize run the float64 chain one band
+        # detect --resize and augment's resize run the float32 chain one band
         # of rows at a time: past the float32 output only band temporaries live
         img = np.random.default_rng(0).random((1, 3, 300, 300), dtype=np.float32)
         tracemalloc.start()
@@ -403,9 +415,9 @@ class TestDetectCommand:
         assert peak < out.nbytes + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_color_holds_under_five_images(self):
-        # at most a brightened float32 copy, one float64 working image (two
-        # images), the luma for the contrast mean (two thirds of one) and the
-        # float32 result; the chains themselves run in row bands
+        # at most a brightened float32 copy, one float32 working image, the
+        # float32 luma for the contrast mean (a third of one) and the float32
+        # result; the chains themselves run in row bands
         img = np.random.default_rng(0).random((1, 3, 768, 1024), dtype=np.float32)
         peaks = []
         tracemalloc.start()

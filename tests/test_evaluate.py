@@ -274,3 +274,12 @@ class TestEvalCommandOracle:
         assert main(argv) == 2
         assert "fp budget must be positive, got nan" in capsys.readouterr().err
         assert out.read_text() == "\n".join(want) + "\n"
+
+        # a list with no number in it is a usage error naming the flag, not a
+        # float() message or a summary without any tpr@ field
+        for budgets in ("abc", ","):
+            argv[argv.index("--fp-budgets") + 1] = budgets
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"argument --fp-budgets: needs comma-separated numbers, got {budgets!r}" in err
+            assert out.read_text() == "\n".join(want) + "\n"
