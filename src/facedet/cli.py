@@ -70,6 +70,16 @@ def _parse_size(text: str) -> tuple[int, int]:
     return size
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"needs a whole number of at least 1, got {text!r}")
+    return threads
+
+
 def _parse_budgets(text: str) -> list[float]:
     """Comma-separated FP budgets, at least one; empty fields are skipped.
     A NaN parses here and is rejected by `evaluate` as a data error."""
@@ -212,8 +222,10 @@ def _detect_image(weights, descriptor, x, anchors_for, cfg):
 
 
 def cmd_detect(args) -> int:
-    if args.resize:
-        check_input_pixels(args.resize[1], args.resize[0])  # before any image is resized
+    descriptor = default_descriptor()
+    if args.resize:  # the pixel cap and the size floor, before any image is read
+        check_input_pixels(args.resize[1], args.resize[0])
+        descriptor.spatial_sizes(args.resize[1], args.resize[0])
     out_dir = Path(args.out_dir)
     inputs: dict[Path, str] = {}
     for path in args.images:
@@ -222,7 +234,6 @@ def cmd_detect(args) -> int:
             raise ValueError(f"{inputs[out_path]} and {path} would both write {out_path}")
         inputs[out_path] = path
 
-    descriptor = default_descriptor()
     weights = load_weights(args.model, descriptor)
     cfg = _postprocess_config(args)
     mean = args.mean
@@ -252,7 +263,7 @@ def cmd_detect(args) -> int:
 
     stage_times: dict[str, list[float]] = {"load": [], "forward": [], "postprocess": [], "write": []}
     failures = []
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         futures = {pool.submit(process, p, o): p for o, p in inputs.items()}
         # a failing stdout raises out of this loop, naming no image; leaving the
         # pool still waits for every image to be written
@@ -300,7 +311,7 @@ def cmd_bench(args) -> int:
     one_pass = functools.partial(_detect_image, weights, descriptor, image, anchors_for, cfg)
     one_pass()  # warm-up, which also builds the anchors
     wall0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         futures = [pool.submit(one_pass) for _ in range(args.reps)]
     wall_s = time.perf_counter() - wall0
     passes = [future.result() for future in futures]
@@ -338,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resize", type=_parse_size, default=None, help="WxH forward size; detections map back"
     )
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_parse_threads, default=1)
     p.add_argument("--verbose", action="store_true")
     _add_postprocess_flags(p)
     p.set_defaults(func=cmd_detect)
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--model", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_parse_threads, default=1)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -44,17 +44,14 @@ def match_detections(
     for image_id, rows in rows_by_image.items():
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
         ious = pairwise_jaccard(rows[:, :4], gt[image_id])
-        spent = np.zeros(ious.shape[1], dtype=bool)
         is_tp = np.zeros(len(rows), dtype=bool)
-        for i in np.argsort(-rows[:, 4], kind="stable"):
-            if spent.all():
-                break
-            # spent ground truths drop below every IoU, so argmax picks the
-            # lowest-index free one among ties
-            free_ious = np.where(spent, -1.0, ious[i])
-            best = int(np.argmax(free_ious))
-            if free_ious[best] >= iou_threshold:
-                spent[best] = True
+        order = np.argsort(-rows[:, 4], kind="stable")
+        # a row below the threshold everywhere is FP whatever comes first; a
+        # spent column drops to -1, so argmax picks the lowest free one among ties
+        for i in order[ious.max(axis=1, initial=0.0)[order] >= iou_threshold]:
+            best = int(np.argmax(ious[i]))
+            if ious[i, best] >= iou_threshold:
+                ious[:, best] = -1.0
                 is_tp[i] = True
         scores.append(rows[:, 4])
         flags.append(is_tp)

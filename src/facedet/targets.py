@@ -149,17 +149,16 @@ def match_anchors(anchors, gt_boxes, threshold: float = MATCH_THRESHOLD) -> Trai
     offsets = np.zeros((n, 4), dtype=np.float32)
     if m:
         overlaps = pairwise_jaccard(corners, gt)
-        claimed = np.zeros(n, dtype=bool)
         for face in range(m):
-            column = np.where(claimed, -1.0, overlaps[:, face])
-            best = int(np.argmax(column))
-            if column[best] > 0:
-                claimed[best] = True
+            best = int(np.argmax(overlaps[:, face]))
+            if overlaps[best, face] > 0:
+                # a claimed row drops to -1: later faces and stage 2 pass it by
+                overlaps[best] = -1.0
                 labels[best] = True
                 gt_index[best] = face
         best_face = overlaps.argmax(axis=1)
         best_overlap = overlaps[np.arange(n), best_face]
-        stage2 = ~claimed & (best_overlap > threshold)
+        stage2 = best_overlap > threshold
         labels[stage2] = True
         gt_index[stage2] = best_face[stage2]
 

@@ -115,6 +115,13 @@ class TestExitCodes:
         # non-finite pixels and be blamed on its heads
         for mean in ("nan,0,0", "0,inf,0", "1e39,0,0"):
             assert main(["detect", "--model", "m", "--mean", mean, "img.ppm"]) == 1
+        capsys.readouterr()
+        # fewer than one worker used to run one and report the value given
+        for threads in ("0", "-3", "two"):
+            assert main(["detect", "--model", "m", "--threads", threads, "img.ppm"]) == 1
+            assert main(["bench", "--threads", threads]) == 1
+            err = capsys.readouterr().err
+            assert err.count("argument --threads: needs a whole number of at least 1") == 2
 
     @pytest.mark.parametrize("flag,value,expected", [
         ("--mean", "a,0,0", "needs three finite comma-separated values, got 'a,0,0'"),
@@ -160,6 +167,27 @@ class TestExitCodes:
         assert resized == []
         assert "4097x4096" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_undersized_resize_rejected_before_reading(
+        self, tmp_path, model_path, monkeypatch, capsys
+    ):
+        # the size floor is checked once, not once per image after its read
+        read = []
+        monkeypatch.setattr(ppm, "read_ppm", lambda path: read.append(path))
+        images = [tmp_path / "a.ppm", tmp_path / "b.ppm"]
+        for img in images:
+            write_test_ppm(img)
+        out_dir = tmp_path / "out"
+        code = main(
+            ["detect", "--model", model_path, "--out-dir", str(out_dir),
+             "--resize", "100x100", *map(str, images)]
+        )
+        assert code == 2
+        assert read == []
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "input 100x100 is below the minimum supported size 128x128" in err
+        assert list(tmp_path.rglob("*.det.txt")) == []
 
 
 class TestAnchorsCommand:

@@ -87,20 +87,40 @@ class TestMatchDetections:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
+
+        def box(field=60.0, low=10.0, high=40.0):
+            x0, y0 = rng.uniform(0, field, 2)
+            return [x0, y0, x0 + rng.uniform(low, high), y0 + rng.uniform(low, high)]
+
+        def jittered(g, spread):
+            return det(*(np.asarray(g) + rng.uniform(-spread, spread, 4)),
+                       round(float(rng.uniform(0, 1)), 1))
+
+        cases = []
         for _ in range(300):
             n_det = int(rng.integers(0, 7))
             n_gt = int(rng.integers(0, 5))
-            gts = []
-            for _ in range(n_gt):
-                x0, y0 = rng.uniform(0, 60, 2)
-                gts.append([x0, y0, x0 + rng.uniform(10, 40), y0 + rng.uniform(10, 40)])
-            dets = []
-            for _ in range(n_det):
-                x0, y0 = rng.uniform(0, 60, 2)
-                dets.append(
-                    det(x0, y0, x0 + rng.uniform(10, 40), y0 + rng.uniform(10, 40),
-                        round(float(rng.uniform(0, 1)), 2))
-                )
+            gts = [box() for _ in range(n_gt)]
+            dets = [det(*box(), round(float(rng.uniform(0, 1)), 2)) for _ in range(n_det)]
+            cases.append((dets, gts))
+        for _ in range(100):
+            # tied columns (a face listed twice) and several rows at or above
+            # the threshold on one face, so a column is spent before a later
+            # row reads it; scores to one decimal, so score ties too
+            gts = [box() for _ in range(int(rng.integers(1, 4)))]
+            gts += [gts[k] for k in rng.integers(0, len(gts), int(rng.integers(0, 3)))]
+            dets = [jittered(gts[k], 3.0) for k in rng.integers(0, len(gts), 8)]
+            dets += [det(*box(), round(float(rng.uniform(0, 1)), 1)) for _ in range(2)]
+            cases.append((dets, gts))
+        for n_det in (0, 1, 12):  # no ground truth: every row is FP
+            cases.append(([det(*box(), float(rng.uniform(0, 1))) for _ in range(n_det)], []))
+        for _ in range(3):  # the densest eval funnel: 200 rows x 60 faces
+            gts = [box(600.0, 10.0, 80.0) for _ in range(60)]
+            gts[59] = gts[0]
+            dets = [jittered(gts[k], 6.0) for k in rng.integers(0, 60, 150)]
+            dets += [det(*box(600.0, 10.0, 80.0), float(rng.uniform(0, 1))) for _ in range(50)]
+            cases.append((dets, gts))
+        for dets, gts in cases:
             _, is_tp = ev.match_detections({"img": rows(dets)}, gt_map(img=gts))
             assert is_tp.tolist() == brute_force_labels(dets, gts, 0.5)
 

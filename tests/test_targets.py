@@ -183,8 +183,16 @@ class TestMatchAnchors:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
-        for _ in range(300):
-            anchors_cs, gt = random_instance(rng)
+        cases = [random_instance(rng) for _ in range(300)]
+        for _ in range(100):
+            # faces listed twice, and near-copies that share a best anchor, so
+            # a later face meets an anchor an earlier one already claimed
+            anchors_cs, gt = random_instance(rng, max_faces=3)
+            if len(gt):
+                gt = gt[rng.integers(0, len(gt), len(gt) + 2)]
+                gt = np.concatenate([gt, gt[:2] + rng.uniform(-0.5, 0.5, (2, 4))])
+            cases.append((anchors_cs, gt))
+        for anchors_cs, gt in cases:
             corners = tg.center_size_to_corner(anchors_cs)
             got = tg.match_anchors(anchors_cs, gt)
             labels, assign = brute_force_match(corners, gt, 0.35)
