@@ -116,7 +116,6 @@ class TestExitCodes:
         for mean in ("nan,0,0", "0,inf,0", "1e39,0,0"):
             assert main(["detect", "--model", "m", "--mean", mean, "img.ppm"]) == 1
         capsys.readouterr()
-        # fewer than one worker used to run one and report the value given
         for threads in ("0", "-3", "two"):
             assert main(["detect", "--model", "m", "--threads", threads, "img.ppm"]) == 1
             assert main(["bench", "--threads", threads]) == 1
@@ -171,7 +170,7 @@ class TestExitCodes:
     def test_undersized_resize_rejected_before_reading(
         self, tmp_path, model_path, monkeypatch, capsys
     ):
-        # the size floor is checked once, not once per image after its read
+        # the size floor is checked once, before any image is read
         read = []
         monkeypatch.setattr(ppm, "read_ppm", lambda path: read.append(path))
         images = [tmp_path / "a.ppm", tmp_path / "b.ppm"]
